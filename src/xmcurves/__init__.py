@@ -53,7 +53,6 @@ from .graphs import (
     induced_interval,
     intersection_graph_of_curves,
     min_right_end_x,
-    sweep_segment_pairs,
 )
 from .lemmas import (
     AlphaSequence,

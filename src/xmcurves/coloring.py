@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceeded, NotAPoset
-from .geometry import Arc, crossing_points
-from .graphs import OrderedGraph
+from .geometry import Arc
+from .graphs import OrderedGraph, intersection_graph_of_curves
 
 DEFAULT_VERTEX_CAP = 64
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -138,10 +138,11 @@ def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Colo
 
     Connected components are solved independently (colors are shared
     across components).  Each component runs branch and bound over
-    k-colorability, seeded with a greedy clique lower bound and the
-    DSATUR upper bound.  `budget` is a search-node limit; passing one
-    also lifts the default n <= 64 cap.  Raises BudgetExceeded so callers
-    can fall back to heuristics.
+    k-colorability, seeded with the DSATUR upper bound and the clique
+    number as lower bound (a greedy clique when that meets DSATUR
+    already).  `budget` is a search-node limit; passing one also lifts
+    the default n <= 64 cap.  Raises BudgetExceeded so callers can fall
+    back to heuristics.
     """
     if graph.n == 0:
         return 0, Coloring({}, 0)
@@ -168,6 +169,9 @@ def _chi_exact_connected(graph: OrderedGraph, budget: int) -> tuple[int, Colorin
     ub, ub_coloring = chi_heuristic(graph, "dsatur")
     clique = _greedy_clique(graph)
     lb = max(1, len(clique))
+    if lb < ub:
+        # searches for k below the clique number can only fail
+        lb = omega_exact(graph)[0]
     if lb == ub:
         return ub, ub_coloring
 
@@ -273,16 +277,9 @@ def omega_exact(graph: OrderedGraph) -> tuple[int, CliqueWitness]:
 
 
 def arc_intersection_graph(arcs: Sequence[Arc]) -> OrderedGraph:
-    """Intersection graph of arc geometries, labeled by parent index."""
-    parents = [a.parent for a in arcs]
-    if len(set(parents)) != len(parents):
-        raise ValueError("arc parents must be distinct")
-    edges = set()
-    for i, a in enumerate(arcs):
-        for b in arcs[i + 1 :]:
-            if crossing_points(a.geometry, b.geometry):
-                edges.add((min(a.parent, b.parent), max(a.parent, b.parent)))
-    return OrderedGraph.from_edges(parents, edges)
+    """Intersection graph of arc geometries, labeled by parent index
+    (an arc's geometry carries its parent's id)."""
+    return intersection_graph_of_curves([a.geometry for a in arcs])
 
 
 def dilworth_chain_partition(arcs: Sequence[Arc]) -> ChainPartition:

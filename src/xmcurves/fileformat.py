@@ -1,7 +1,9 @@
 """The "xmcurves 1" text format.
 
 First line `xmcurves 1`; one line per curve `curve <id> : <x>,<y> <x>,<y> ...`
-with integer or `p/q` rational coordinates; `#` starts a comment line.
+with integer or `p/q` rational coordinates (an optional sign, then ASCII
+digits, at most MAX_DIGITS of them in p and in q); `#` starts a comment
+line.
 On load, curve indices are reassigned 1..n from bottom to top by
 y-intercept; right-flag files additionally require every first vertex to
 sit at x = 0, which family validation enforces.
@@ -9,6 +11,7 @@ sit at x = 0, which family validation enforces.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InvalidFileFormat
@@ -17,11 +20,18 @@ from .graphs import CurveFamily
 
 HEADER = "xmcurves 1"
 
+# Longest numerator or denominator a coordinate may spell out; it bounds
+# the size of every number the exact kernel scales and multiplies.
+MAX_DIGITS = 32
+_COORD = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
+
 
 def _parse_coord(token: str, lineno: int) -> Fraction:
+    if _COORD.fullmatch(token) is None:
+        raise InvalidFileFormat(f"line {lineno}: bad coordinate {token!r}")
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise InvalidFileFormat(f"line {lineno}: bad coordinate {token!r}") from exc
 
 

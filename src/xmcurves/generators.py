@@ -3,7 +3,8 @@
 All coordinates are exact rationals built from integer draws of a seeded
 PRNG; no floating point enters generation, so equal specs give byte-equal
 families.  Generators retry by redrawing only offending curves (bounded,
-seeded) until the family validates.
+seeded) until the family validates; each re-check tests again only the
+pairs that involve a redrawn curve.
 
 Model notes: every one-sided family is grounded on the y-axis, because
 family validation requires right flags.  Rays are grounded rays clipped
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .configurations import ConfigWitness, verify_witness
 from .errors import GenerationFailed
-from .geometry import Point, PolyCurve
+from .geometry import Point, PolyCurve, ValidationReport, split_at_y_axis, validate_family
 from .graphs import CurveFamily, build_intersection_graph
 
 GEN_KINDS = (
@@ -63,30 +64,32 @@ def _intercepts(rng: random.Random, n: int, spread: int) -> list[Fraction]:
     ]
 
 
-def _validate_or_offenders(curves: list[PolyCurve]) -> list[int]:
-    from .geometry import validate_family
-
-    report = validate_family(curves)
-    if report.ok:
-        return []
+def _offenders(report: ValidationReport) -> list[int]:
     # redraw every curve a violation names; anything narrower can thrash
     # on pairs that keep re-crossing a kept shape
     return sorted({cid for v in report.violations for cid in v.curves})
 
 
-def _redraw_loop(curves: list[PolyCurve], redraw) -> list[PolyCurve]:
+def _family(curves: list[PolyCurve], report: ValidationReport) -> CurveFamily:
+    # generated ids already run 1..n bottom to top, so this is what
+    # CurveFamily.from_curves would build, without validating again
+    return CurveFamily(tuple(curves), report.edges)
+
+
+def _redraw_loop(curves: list[PolyCurve], redraw) -> CurveFamily:
+    report = None
     for round_no in range(MAX_REDRAW_ROUNDS):
-        offenders = _validate_or_offenders(curves)
-        if not offenders:
-            return curves
+        report = validate_family(curves, report)
+        if report.ok:
+            return _family(curves, report)
         damp = Fraction(1, 1 + round_no)
-        for cid in offenders:
+        for cid in _offenders(report):
             idx = next(i for i, c in enumerate(curves) if c.id == cid)
             curves[idx] = redraw(curves[idx], damp)
     raise GenerationFailed(f"no valid family after {MAX_REDRAW_ROUNDS} redraw rounds")
 
 
-def _gen_rays(rng: random.Random, n: int, spread: int) -> list[PolyCurve]:
+def _gen_rays(rng: random.Random, n: int, spread: int) -> CurveFamily:
     ys = _intercepts(rng, n, spread)
 
     def random_slope() -> Fraction:
@@ -115,16 +118,17 @@ def _gen_rays(rng: random.Random, n: int, spread: int) -> list[PolyCurve]:
 
     curves = build()
     for _ in range(MAX_REDRAW_ROUNDS):
-        offenders = _validate_or_offenders(curves)
-        if not offenders:
-            return curves
-        for cid in offenders:
+        # build() remakes every curve, so no earlier contact can be reused
+        report = validate_family(curves)
+        if report.ok:
+            return _family(curves, report)
+        for cid in _offenders(report):
             slopes[cid - 1] = random_slope()
         curves = build()  # clip bound depends on every slope
     raise GenerationFailed(f"no valid ray family after {MAX_REDRAW_ROUNDS} rounds")
 
 
-def _gen_unit_segments(rng: random.Random, n: int, spread: int) -> list[PolyCurve]:
+def _gen_unit_segments(rng: random.Random, n: int, spread: int) -> CurveFamily:
     ys = _intercepts(rng, n, max(2, spread // 4))
 
     def unit_direction() -> tuple[Fraction, Fraction]:
@@ -179,7 +183,7 @@ def _polyline_tail(
 
 def _gen_right_flag_polylines(
     rng: random.Random, n: int, spread: int, segments: int
-) -> list[PolyCurve]:
+) -> CurveFamily:
     ys = _intercepts(rng, n, spread)
 
     def make(cid: int, damp: Fraction = Fraction(1)) -> PolyCurve:
@@ -195,8 +199,6 @@ def _gen_right_flag_polylines(
 def _gen_two_sided(
     rng: random.Random, n: int, spread: int, segments: int
 ) -> list[PolyCurve]:
-    from .geometry import split_at_y_axis, validate_family
-
     ys = _intercepts(rng, n, spread)
 
     def make(cid: int, damp: Fraction = Fraction(1)) -> PolyCurve:
@@ -206,10 +208,11 @@ def _gen_two_sided(
         return PolyCurve(cid, mirrored[:-1] + right)
 
     curves = [make(i) for i in range(1, n + 1)]
+    halves = [split_at_y_axis(c) for c in curves]
+    left_report = right_report = None
     for round_no in range(MAX_REDRAW_ROUNDS):
-        halves = [split_at_y_axis(c) for c in curves]
-        left_report = validate_family([h[0] for h in halves])
-        right_report = validate_family([h[1] for h in halves])
+        left_report = validate_family([h[0] for h in halves], left_report)
+        right_report = validate_family([h[1] for h in halves], right_report)
         offenders = sorted(
             {
                 cid
@@ -223,6 +226,7 @@ def _gen_two_sided(
         damp = Fraction(1, 1 + round_no)
         for cid in offenders:
             curves[cid - 1] = make(cid, damp)
+            halves[cid - 1] = split_at_y_axis(curves[cid - 1])
     raise GenerationFailed(f"no valid two-sided list after {MAX_REDRAW_ROUNDS} rounds")
 
 
@@ -299,21 +303,17 @@ def generate(spec: GenSpec) -> CurveFamily | list[PolyCurve]:
     bare curve list for axis-splitting exercises."""
     rng = random.Random(spec.seed)
     if spec.kind == "rays":
-        return CurveFamily.from_curves(_gen_rays(rng, spec.n, spec.coordinate_range))
+        return _gen_rays(rng, spec.n, spec.coordinate_range)
     if spec.kind == "unitsegments":
-        return CurveFamily.from_curves(
-            _gen_unit_segments(rng, spec.n, spec.coordinate_range)
-        )
+        return _gen_unit_segments(rng, spec.n, spec.coordinate_range)
     if spec.kind == "crossingfan":
         k = spec.k or spec.n
         return CurveFamily.from_curves(
             _gen_crossing_fan(rng, k, spec.coordinate_range)
         )
     if spec.kind == "rightflagpolylines":
-        return CurveFamily.from_curves(
-            _gen_right_flag_polylines(
-                rng, spec.n, spec.coordinate_range, spec.segments_per_curve
-            )
+        return _gen_right_flag_polylines(
+            rng, spec.n, spec.coordinate_range, spec.segments_per_curve
         )
     if spec.kind == "twosided":
         return _gen_two_sided(

@@ -7,14 +7,13 @@ right-endpoint abscissas, never on raw geometry.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptySubset, InvalidFamily
-from .geometry import PolyCurve, crossing_points, validate_family
+from .geometry import PolyCurve, candidate_pairs, crossing_points, validate_family
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,11 @@ def induced_interval(graph: OrderedGraph, interval: IntervalSpec) -> OrderedGrap
 
 @dataclass(frozen=True)
 class CurveFamily:
-    """A validated simple family, labeled 1..n from bottom to top."""
+    """A validated simple family, labeled 1..n from bottom to top, with
+    the label pairs that cross, as its validation found them."""
 
     curves: tuple[PolyCurve, ...]
+    edges: frozenset[tuple[int, int]]
 
     @staticmethod
     def from_curves(curves: Sequence[PolyCurve]) -> CurveFamily:
@@ -123,7 +124,7 @@ class CurveFamily:
         report = validate_family(relabeled)
         if not report.ok:
             raise InvalidFamily(report)
-        return CurveFamily(relabeled)
+        return CurveFamily(relabeled, report.edges)
 
     @property
     def n(self) -> int:
@@ -151,50 +152,18 @@ def min_right_end_x(family: CurveFamily, subset: Iterable[int]) -> Fraction:
 
 
 def intersection_graph_of_curves(curves: Sequence[PolyCurve]) -> OrderedGraph:
-    """Quadratic pairwise build; vertices are the curves' own ids."""
+    """Edge {a, b} iff curves a and b properly cross; vertices are the
+    curves' own ids."""
     ids = [c.id for c in curves]
     if len(set(ids)) != len(ids):
         raise ValueError("curve ids must be distinct")
-    edges = set()
-    for i, a in enumerate(curves):
-        for b in curves[i + 1 :]:
-            if crossing_points(a, b):
-                edges.add((min(a.id, b.id), max(a.id, b.id)))
+    edges = [(a.id, b.id) for a, b in candidate_pairs(curves) if crossing_points(a, b)]
     return OrderedGraph.from_edges(ids, edges)
 
 
 def build_intersection_graph(family: CurveFamily) -> OrderedGraph:
     """Edge {i,j} iff curves i and j properly cross."""
-    return intersection_graph_of_curves(family.curves)
-
-
-def sweep_segment_pairs(curves: Sequence[PolyCurve]) -> set[tuple[int, int]]:
-    """Crossing pairs of single-segment curves via a sweep over x.
-
-    Left endpoints are processed in increasing x; an ordered active
-    structure (min-heap on right endpoint) expires segments that can no
-    longer overlap.  Candidate pairs are decided by the exact crossing
-    predicate, so the pair set is identical to the quadratic method; the
-    sweep only prunes pairs whose x-ranges cannot share a crossing.
-    """
-    for c in curves:
-        if len(c.vertices) != 2:
-            raise ValueError(f"curve {c.id} is not a single segment")
-        if not c.is_x_monotone():
-            raise ValueError(f"curve {c.id} is not x-monotone")
-
-    events = sorted(curves, key=lambda c: (c.x_start, c.id))
-    active: list[tuple[Fraction, int, PolyCurve]] = []  # (right x, id, curve)
-    pairs: set[tuple[int, int]] = set()
-    for c in events:
-        # A proper crossing needs x-overlap of positive length.
-        while active and active[0][0] <= c.x_start:
-            heapq.heappop(active)
-        for _, _, other in active:
-            if crossing_points(c, other):
-                pairs.add((min(c.id, other.id), max(c.id, other.id)))
-        heapq.heappush(active, (c.x_end, c.id, c))
-    return pairs
+    return OrderedGraph(family.labels(), family.edges)
 
 
 def adjacency_lines(graph: OrderedGraph) -> list[str]:

@@ -1,18 +1,20 @@
 """Independent brute-force oracles used to check the production code.
 
 Nothing here shares an algorithm with the package: crossings come from
-orientation predicates, chromatic numbers from plain color-assignment
+orientation predicates (and, for the full pair classification, from the
+Fraction-arithmetic kernel the package used before its integer one), chromatic numbers from plain color-assignment
 search in label order, cliques from subset enumeration, configurations
 from full tuple enumeration.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from xmcurves import ConfigWitness, OrderedGraph, Point, PolyCurve
+from xmcurves import ConfigWitness, DegenerateCurve, OrderedGraph, PairContact, Point, PolyCurve
 
 
 def _ccw(a: Point, b: Point, c: Point) -> int:
@@ -48,6 +50,84 @@ def polyline_crossings(c1: PolyCurve, c2: PolyCurve) -> list[Point]:
             if p is not None:
                 points.append(p)
     return sorted(points, key=lambda p: (p.x, p.y))
+
+
+def _fraction_y_at(c: PolyCurve, x: Fraction) -> Fraction:
+    xs = [v.x for v in c.vertices]
+    i = bisect.bisect_right(xs, x) - 1
+    if i == len(xs) - 1:
+        return c.vertices[-1].y
+    a, b = c.vertices[i], c.vertices[i + 1]
+    return a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
+
+
+def _sign(f: Fraction) -> int:
+    return (f > 0) - (f < 0)
+
+
+def fraction_pair_contacts(c1: PolyCurve, c2: PolyCurve) -> PairContact:
+    """The pair classification as the package computed it in Fraction
+    arithmetic before its integer kernel: both curves' heights at every
+    breakpoint in the shared x-range, then sign runs of the difference."""
+    for c in (c1, c2):
+        if len(c.vertices) < 2:
+            raise DegenerateCurve(f"curve {c.id} has fewer than 2 vertices")
+        if not c.is_x_monotone():
+            raise DegenerateCurve(f"curve {c.id} is not strictly x-monotone")
+    lo = max(c1.x_start, c2.x_start)
+    hi = min(c1.x_end, c2.x_end)
+    empty: tuple = ()
+    if lo > hi:
+        return PairContact(empty, empty, empty, empty, empty)
+
+    xs = sorted(
+        {lo, hi}
+        | {v.x for v in c1.vertices if lo <= v.x <= hi}
+        | {v.x for v in c2.vertices if lo <= v.x <= hi}
+    )
+    diff = [_fraction_y_at(c1, x) - _fraction_y_at(c2, x) for x in xs]
+
+    crossings: list[Point] = []
+    vertex_crossings: list[Point] = []
+    tangencies: list[Point] = []
+    endpoint_touches: list[Point] = []
+    overlaps: list[tuple[Point, Point]] = []
+
+    # The difference is piecewise linear with breakpoints xs; it vanishes
+    # on a whole segment iff both segment ends vanish.
+    i = 0
+    m = len(xs)
+    while i < m:
+        if diff[i] == 0:
+            j = i
+            while j + 1 < m and diff[j + 1] == 0:
+                j += 1
+            if j > i:
+                p0 = Point(xs[i], _fraction_y_at(c1, xs[i]))
+                p1 = Point(xs[j], _fraction_y_at(c1, xs[j]))
+                overlaps.append((p0, p1))
+            else:
+                p = Point(xs[i], _fraction_y_at(c1, xs[i]))
+                if xs[i] == lo or xs[i] == hi:
+                    endpoint_touches.append(p)
+                elif _sign(diff[i - 1]) * _sign(diff[i + 1]) < 0:
+                    vertex_crossings.append(p)
+                else:
+                    tangencies.append(p)
+            i = j + 1
+            continue
+        if i + 1 < m and diff[i + 1] != 0 and _sign(diff[i]) != _sign(diff[i + 1]):
+            x_star = xs[i] - diff[i] * (xs[i + 1] - xs[i]) / (diff[i + 1] - diff[i])
+            crossings.append(Point(x_star, _fraction_y_at(c1, x_star)))
+        i += 1
+
+    return PairContact(
+        tuple(crossings),
+        tuple(vertex_crossings),
+        tuple(tangencies),
+        tuple(endpoint_touches),
+        tuple(overlaps),
+    )
 
 
 def polyline_family_edges(curves) -> set[tuple[int, int]]:

@@ -80,11 +80,10 @@ def test_precondition_failure_exits_1(tmp_path, capsys):
 
 
 def test_budget_exceeded_exits_2(tmp_path, capsys):
-    # seed 5 at n=12 yields a graph whose clique bound undershoots, so
-    # the exact solver really has to branch
+    # seed 12 at n=20 yields a graph with omega 4 below its DSATUR count 5,
+    # so the exact solver really has to branch
     path = gen_file(
-        tmp_path, capsys, "f.xmc",
-        "--kind", "rightflagpolylines", "--n", "12", "--seed", "5", "--segments", "2",
+        tmp_path, capsys, "f.xmc", "--kind", "rightflagpolylines", "--n", "20", "--seed", "12"
     )
     code, _, err = run(capsys, "chi", "--exact", "--budget", "1", "--file", path)
     assert code == 2 and "budget" in err
@@ -163,6 +162,19 @@ def test_experiment_table(capsys):
         "--seed", "2",
     )
     assert out2 == out
+
+
+def test_experiment_row_solved_by_clique_number(capsys):
+    # omega = DSATUR = 7 here while the greedy clique is smaller; the
+    # exact solver once spent its whole budget on k < 7 and left chi blank
+    code, out, _ = run(
+        capsys, "experiment", "--kind", "rightflagpolylines", "--n", "40", "--trials", "1",
+        "--seed", "9", "--budget", "200000",
+    )
+    assert code == 0
+    row = out.splitlines()[1].split("\t")
+    assert row[:4] == ["0", "40", "rightflagpolylines", "9"]
+    assert row[4:7] == ["7", "7", "7"]
 
 
 def test_missing_file_exits_1(capsys):

@@ -77,3 +77,37 @@ def test_bad_inputs():
         parse_curves("xmcurves 1\ncurve 1 : 0,1/0 1,1\n")
     with pytest.raises(InvalidFileFormat):
         load_curves(dump_curves([curve(1, (1, 0), (2, 1))]))  # off the axis
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1e2", "1_0", "1.5", "0x10", "١", "+-1", "1/", "/2", "1/2/3", "nan", "inf",
+     "1/-2", "1" * 33, "1/" + "1" * 33],
+)
+def test_coordinate_grammar_is_strict(token):
+    with pytest.raises(InvalidFileFormat, match="bad coordinate"):
+        parse_curves(f"xmcurves 1\ncurve 1 : 0,{token} 1,1\n")
+
+
+def test_coordinate_grammar_accepts_signs_fractions_and_the_cap():
+    from fractions import Fraction
+
+    big = "9" * 32
+    (c,) = parse_curves(f"xmcurves 1\ncurve 1 : -3/4,+2 007,-{big}/1{big[1:]}\n")
+    assert [(v.x, v.y) for v in c.vertices] == [
+        (Fraction(-3, 4), Fraction(2)), (Fraction(7), Fraction(-int(big), int("1" + big[1:])))
+    ]
+
+
+def test_exponent_numeral_is_rejected_without_being_evaluated(monkeypatch):
+    from xmcurves import fileformat
+
+    exact = fileformat.Fraction
+
+    def refuse_exponents(token):
+        assert "e" not in token, f"the parser evaluated {token!r}"
+        return exact(token)
+
+    monkeypatch.setattr(fileformat, "Fraction", refuse_exponents)
+    with pytest.raises(InvalidFileFormat, match="bad coordinate"):
+        parse_curves("xmcurves 1\ncurve 1 : 0,0 1,1e999999999\n")

@@ -21,6 +21,8 @@ def test_every_family_kind_validates(kind):
         assert isinstance(fam, CurveFamily)
         assert validate_family(fam.curves).ok
         assert [c.id for c in fam.curves] == list(range(1, fam.n + 1))
+        # the labels and edges a generator hands over are from_curves's own
+        assert CurveFamily.from_curves(list(fam.curves)) == fam
 
 
 def test_two_sided_output_splits_cleanly():

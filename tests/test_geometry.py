@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmcurves import (
     DegenerateCurve,
     NotCrossingAxis,
+    PairContact,
     Point,
+    PolyCurve,
     crossing_points,
     curve,
     join_at_y_axis,
@@ -20,7 +22,111 @@ from xmcurves import (
     split_at_y_axis,
     validate_family,
 )
-from oracles import polyline_crossings, random_segment
+from xmcurves.geometry import candidate_pairs
+from oracles import fraction_pair_contacts, polyline_crossings, random_segment
+
+# Denominators are pairwise coprime apart from 1, so that curves drawn over
+# different ones meet only at shared integer grid points.
+GRID_DENOMINATORS = [1, 1, 2, 3, 5, 7]
+
+
+@st.composite
+def grid_polylines(draw, cid, x_lo=-2, right_flag=False):
+    """A 1-3 segment polyline with vertices on a small grid of step 1/dx by
+    1/dy, where shared vertices, touches and overlaps are frequent."""
+    dx = draw(st.sampled_from(GRID_DENOMINATORS))
+    dy = draw(st.sampled_from(GRID_DENOMINATORS))
+    k = draw(st.integers(1, 3))
+    xs = draw(st.lists(st.integers(x_lo * dx, 6 * dx), min_size=k + 1, max_size=k + 1, unique=True))
+    if right_flag:
+        xs = [0] + [x for x in xs if x > 0][:k]
+    ys = draw(st.lists(st.integers(-3 * dy, 3 * dy), min_size=len(xs), max_size=len(xs)))
+    return PolyCurve(
+        cid, tuple(Point(Fraction(x, dx), Fraction(y, dy)) for x, y in zip(sorted(xs), ys))
+    )
+
+
+@st.composite
+def grid_pairs(draw):
+    a = draw(grid_polylines(1))
+    b = draw(grid_polylines(2))
+    if draw(st.booleans()):
+        # give b a stretch of a: overlaps, vertex contacts and end touches
+        start = draw(st.integers(0, len(a.vertices) - 2))
+        lo, hi = a.vertices[start], a.vertices[start + 1]
+        outside = [v for v in b.vertices if v.x < lo.x or v.x > hi.x]
+        b = PolyCurve(2, tuple(sorted([lo, hi, *outside], key=lambda v: v.x)))
+    return a, b
+
+
+@given(pair=grid_pairs())
+@settings(max_examples=400, deadline=None)
+def test_integer_kernel_matches_fraction_kernel(pair):
+    a, b = pair
+    assert pair_contacts(a, b) == fraction_pair_contacts(a, b)
+    assert pair_contacts(b, a) == fraction_pair_contacts(b, a)
+
+
+@given(curves=st.lists(st.integers(1, 60).flatmap(grid_polylines), min_size=2, max_size=6))
+@example(curves=[curve(1, (0, 0), (1, 1)), curve(2, (1, 1), (2, 0))])  # boxes share x = 1
+@example(curves=[curve(1, (0, 0), (1, 1), (2, 0)), curve(2, (0, 1), (2, 1))])  # and y = 1
+@settings(max_examples=150, deadline=None)
+def test_candidate_pairs_drop_only_pairs_that_never_meet(curves):
+    kept = {(id(a), id(b)) for a, b in candidate_pairs(curves)}
+    for i, a in enumerate(curves):
+        for b in curves[i + 1 :]:
+            if (id(a), id(b)) not in kept:
+                assert fraction_pair_contacts(a, b) == PairContact((), (), (), (), ())
+
+
+@given(
+    curves=st.lists(
+        st.integers(1, 60).flatmap(lambda cid: grid_polylines(cid, x_lo=0, right_flag=True)),
+        min_size=2,
+        max_size=7,
+    ),
+    edits=st.lists(
+        st.tuples(st.integers(0, 6), st.booleans(), st.integers(0, 10**6)), max_size=8
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_incremental_recheck_matches_full_validation(curves, edits):
+    # distinct ids, grid right flags: shared intercepts, tangencies and
+    # triple points are all common
+    curves = [c.with_id(i) for i, c in enumerate(curves, start=1)]
+    report = validate_family(curves)
+    for idx, reshape, seed in edits:
+        idx %= len(curves)
+        old = curves[idx]
+        if reshape:
+            rng = random.Random(seed)
+            tail = tuple(
+                Point(v.x, v.y + Fraction(rng.randrange(-2, 3), 2)) for v in old.vertices[1:]
+            )
+            curves[idx] = PolyCurve(old.id, old.vertices[:1] + tail)
+        else:
+            curves[idx] = old.with_id(old.id)  # same shape, new object
+        report = validate_family(curves, report)
+        full = validate_family(curves)
+        assert report == full
+        assert report.lines() == full.lines()
+
+
+def test_recheck_tests_only_pairs_of_replaced_curves(monkeypatch, small_corpus):
+    from xmcurves import geometry
+
+    curves = list(small_corpus[0][0].curves)
+    report = validate_family(curves)
+    tested = []
+
+    def counting(a, b):
+        tested.append({a.id, b.id})
+        return pair_contacts(a, b)
+
+    monkeypatch.setattr(geometry, "pair_contacts", counting)
+    curves[3] = curves[3].with_id(curves[3].id)
+    assert validate_family(curves, report) == report
+    assert tested and all(4 in ids for ids in tested)
 
 
 def test_symmetric_x_crossing():

@@ -15,7 +15,6 @@ from xmcurves import (
     induced_interval,
     intersection_graph_of_curves,
     min_right_end_x,
-    sweep_segment_pairs,
 )
 from xmcurves.generators import GenSpec, generate
 from xmcurves.graphs import adjacency_lines, to_dot
@@ -105,14 +104,16 @@ def test_min_right_end_x():
         min_right_end_x(fam, [])
 
 
-def test_sweep_trivial_cases():
+def test_intersection_graph_trivial_cases():
     crossing = [curve(1, (0, 0), (4, 4)), curve(2, (0, 4), (4, 0))]
-    assert sweep_segment_pairs(crossing) == {(1, 2)}
+    assert set(intersection_graph_of_curves(crossing).edges) == {(1, 2)}
+    assert polyline_family_edges(crossing) == {(1, 2)}
     flats = [curve(i, (0, i), (4, i)) for i in range(1, 11)]
-    assert sweep_segment_pairs(flats) == set()
+    assert set(intersection_graph_of_curves(flats).edges) == set()
+    assert polyline_family_edges(flats) == set()
 
 
-def test_sweep_matches_quadratic_on_random_unit_segments():
+def test_intersection_graph_matches_oracle_on_random_unit_segments():
     from fractions import Fraction
 
     from xmcurves import Point, PolyCurve
@@ -128,18 +129,20 @@ def test_sweep_matches_quadratic_on_random_unit_segments():
         x0 = Fraction(rng.randrange(0, 640), 64)
         y0 = Fraction(rng.randrange(0, 640), 64)
         curves.append(PolyCurve(i, (Point(x0, y0), Point(x0 + dx, y0 + dy))))
-    quadratic = set(intersection_graph_of_curves(curves).edges)
-    assert sweep_segment_pairs(curves) == quadratic
+    assert set(intersection_graph_of_curves(curves).edges) == polyline_family_edges(curves)
 
     from oracles import random_segment
 
     mixed = [random_segment(rng, i, 12) for i in range(1, 201)]
-    assert sweep_segment_pairs(mixed) == set(intersection_graph_of_curves(mixed).edges)
+    assert set(intersection_graph_of_curves(mixed).edges) == polyline_family_edges(mixed)
 
 
-def test_sweep_rejects_polylines():
-    with pytest.raises(ValueError):
-        sweep_segment_pairs([curve(1, (0, 0), (1, 1), (2, 0))])
+def test_intersection_graph_takes_polylines():
+    # the tent crosses the flat twice and misses the low flat entirely
+    tent = curve(1, (0, 0), (1, 1), (2, 0))
+    curves = [tent, curve(2, (0, "1/2"), (2, "1/2")), curve(3, (0, -1), (2, -1))]
+    assert set(intersection_graph_of_curves(curves).edges) == {(1, 2)}
+    assert polyline_family_edges(curves) == {(1, 2)}
 
 
 def test_exports():
