@@ -152,6 +152,9 @@ def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Colo
                 f"n={graph.n} exceeds default cap {DEFAULT_VERTEX_CAP}; pass a budget"
             )
         budget = DEFAULT_NODE_BUDGET
+    if not graph.edges:
+        # what the component path returns: every singleton colored 1
+        return 1, Coloring(dict.fromkeys(graph.vertices, 1), 1)
 
     parts = _components(graph)
     if len(parts) > 1:
@@ -190,37 +193,45 @@ def _chi_exact_connected(graph: OrderedGraph, budget: int) -> tuple[int, Colorin
                 neighbor_colors[u].add(i + 1)
         uncolored = [v for v in graph.vertices if v not in assignment]
 
-        def backtrack(max_used: int) -> bool:
-            nonlocal nodes_used
+        # Depth-first search with an explicit stack, so that depth is not
+        # bounded by the interpreter's recursion limit.  A frame is
+        # [vertex, max color used above it, color limit, current color,
+        # vertices whose neighbor colors gained the current color].
+        stack: list[list] = []
+        max_used = min(k, len(clique))
+        while True:
             if not uncolored:
-                return True
+                return dict(assignment)
             nodes_used += 1
             if nodes_used > budget:
                 raise BudgetExceeded(f"exact coloring budget {budget} exhausted")
-            v = min(
-                uncolored,
-                key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u),
-            )
+            v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u))
             uncolored.remove(v)
-            limit = min(k, max_used + 1)  # first fresh color only
-            for c in range(1, limit + 1):
-                if c in neighbor_colors[v]:
-                    continue
-                assignment[v] = c
-                touched = [u for u in adjacency[v] if c not in neighbor_colors[u]]
-                for u in touched:
-                    neighbor_colors[u].add(c)
-                if backtrack(max(max_used, c)):
-                    return True
-                for u in touched:
-                    neighbor_colors[u].discard(c)
-                del assignment[v]
-            uncolored.append(v)
-            return False
-
-        if backtrack(min(k, len(clique))):
-            return dict(assignment)
-        return None
+            # first fresh color only
+            frame = [v, max_used, min(k, max_used + 1), 0, ()]
+            stack.append(frame)
+            while True:
+                v, above, limit, c, touched = frame
+                if c:  # the subtree under color c failed: undo it
+                    for u in touched:
+                        neighbor_colors[u].discard(c)
+                    del assignment[v]
+                c += 1
+                while c <= limit and c in neighbor_colors[v]:
+                    c += 1
+                if c <= limit:
+                    assignment[v] = c
+                    touched = [u for u in adjacency[v] if c not in neighbor_colors[u]]
+                    for u in touched:
+                        neighbor_colors[u].add(c)
+                    frame[3], frame[4] = c, touched
+                    max_used = max(above, c)
+                    break  # descend
+                uncolored.append(v)
+                stack.pop()
+                if not stack:
+                    return None
+                frame = stack[-1]
 
     for k in range(lb, ub):
         result = colorable_with(k)
@@ -229,50 +240,50 @@ def _chi_exact_connected(graph: OrderedGraph, budget: int) -> tuple[int, Colorin
     return ub, ub_coloring
 
 
-def chi_of(graph: OrderedGraph, budget: int | None = None) -> int:
-    return chi_exact(graph, budget)[0]
-
-
 def omega_exact(graph: OrderedGraph) -> tuple[int, CliqueWitness]:
     """Maximum clique size with the lexicographically least witness."""
     if graph.n == 0:
         return 0, CliqueWitness(())
     adjacency = graph.adjacency
 
+    # Bron-Kerbosch style search for the maximum size only, depth first
+    # with an explicit stack of [candidates, size, branch vertices, next].
     best_size = 1
+    stack: list[list] = []
 
-    def extend(candidates: set[int], size: int) -> None:
+    def enter(candidates: frozenset[int], size: int) -> None:
         nonlocal best_size
-        if size > best_size:
-            best_size = size
-        if not candidates:
-            return
-        if size + len(candidates) <= best_size:
-            return
-        # Bron-Kerbosch style search for the maximum size only.
-        pivot = max(candidates, key=lambda u: (len(adjacency[u] & candidates), -u))
-        rest = candidates - adjacency[pivot]
-        for v in sorted(rest):
-            extend(candidates & adjacency[v], size + 1)
-            candidates = candidates - {v}
+        best_size = max(best_size, size)
+        if candidates and size + len(candidates) > best_size:
+            pivot = max(candidates, key=lambda u: (len(adjacency[u] & candidates), -u))
+            stack.append([candidates, size, sorted(candidates - adjacency[pivot]), 0])
 
-    extend(set(graph.vertices), 0)
+    enter(frozenset(graph.vertices), 0)
+    while stack:
+        frame = stack[-1]
+        candidates, size, branch, i = frame
+        if i == len(branch):
+            stack.pop()
+            continue
+        v = branch[i]
+        frame[0], frame[3] = candidates - {v}, i + 1
+        enter(candidates & adjacency[v], size + 1)
 
-    def lex_clique(prefix: list[int], candidates: set[int], need: int) -> list[int] | None:
-        if need == 0:
-            return prefix
-        if len(candidates) < need:
-            return None
-        for v in sorted(candidates):
-            found = lex_clique(
-                prefix + [v], {u for u in candidates if u > v} & adjacency[v], need - 1
-            )
-            if found is not None:
-                return found
-        return None
-
-    witness = lex_clique([], set(graph.vertices), best_size)
-    assert witness is not None
+    # Lexicographically least clique of that size: the first one a depth
+    # first search in increasing label order completes.
+    witness: list[int] = []
+    levels = [(sorted(graph.vertices), 0)]
+    while len(witness) < best_size:
+        order, i = levels[-1]
+        need = best_size - len(witness)
+        if i == len(order) or len(order) - i < need:
+            levels.pop()
+            witness.pop()
+            continue
+        v = order[i]
+        levels[-1] = (order, i + 1)
+        witness.append(v)
+        levels.append(([u for u in order[i + 1 :] if u in adjacency[v]], 0))
     return best_size, CliqueWitness(tuple(witness))
 
 

@@ -96,18 +96,26 @@ def _gen_rays(rng: random.Random, n: int, spread: int) -> CurveFamily:
         return Fraction(rng.randrange(-64, 65), rng.randrange(1, 17))
 
     slopes = [random_slope() for _ in range(n)]
+    scale = 64 * (n + 1)  # every intercept is an integer over this
+    tops = [y.numerator * (scale // y.denominator) for y in ys]
 
     def build() -> list[PolyCurve]:
-        # clip past every pairwise crossing abscissa: graph preserved
-        bound = Fraction(spread)
+        # clip past every pairwise crossing abscissa: graph preserved.
+        # For i < j the rays cross at x* = (Y_j - Y_i) / (s_i - s_j), kept
+        # as the integer pair num/den: Y_j > Y_i, so x* > 0 iff s_i > s_j.
+        top, bottom = spread, 1
         for i in range(n):
+            p_i, q_i = slopes[i].numerator, slopes[i].denominator
             for j in range(i + 1, n):
-                if slopes[i] == slopes[j]:
+                p_j, q_j = slopes[j].numerator, slopes[j].denominator
+                den = p_i * q_j - p_j * q_i
+                if den <= 0:
                     continue
-                x_star = (ys[j] - ys[i]) / (slopes[i] - slopes[j])
-                if x_star > 0:
-                    bound = max(bound, x_star)
-        clip = bound + 1
+                num = (tops[j] - tops[i]) * q_i * q_j
+                den *= scale
+                if num * bottom > top * den:
+                    top, bottom = num, den
+        clip = Fraction(top, bottom) + 1
         return [
             PolyCurve(
                 i + 1,

@@ -54,9 +54,17 @@ class OrderedGraph:
         return self.adjacency[v]
 
     def induced(self, labels: Iterable[int]) -> OrderedGraph:
-        keep = set(labels) & set(self.vertices)
-        es = frozenset((u, v) for u, v in self.edges if u in keep and v in keep)
-        return OrderedGraph(tuple(sorted(keep)), es)
+        """Subgraph on the given labels; labels not in the graph are
+        ignored.  Built from the kept vertices' adjacency, whose
+        restriction also becomes the subgraph's own adjacency."""
+        adjacency = self.adjacency
+        keep = frozenset(labels).intersection(adjacency)
+        vertices = tuple(sorted(keep))
+        sub = {v: adjacency[v] & keep for v in vertices}
+        es = frozenset((u, v) for u in vertices for v in sub[u] if u < v)
+        graph = OrderedGraph(vertices, es)
+        graph.__dict__["adjacency"] = sub  # fills the cached_property
+        return graph
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
-from .coloring import ChainPartition, chi_exact, dilworth_chain_partition
+from .coloring import ChainPartition, Coloring, chi_exact, dilworth_chain_partition
 from .errors import KTooSmall, NotCrossing, PreconditionFailed
 from .geometry import Arc, PolyCurve, crossing_points
 from .graphs import CurveFamily, OrderedGraph
@@ -130,28 +131,62 @@ def alpha_sequence(
     the whole graph colors with fewer than alpha colors the result is a
     single block (m = 1).
     """
+    return _alpha_sequence(graph, alpha, budget, {})
+
+
+def _alpha_sequence(
+    graph: OrderedGraph, alpha: int, budget: int | None, memo: dict
+) -> AlphaSequence:
+    """alpha_sequence, solving through the caller's chi memo.
+
+    Each block grows one label at a time next to a proper coloring of it
+    with fewer than alpha colors.  The new label takes its least free
+    color; below alpha, that coloring certifies chi(block) < alpha with
+    no search.  Otherwise the block is solved exactly: chi of a growing
+    prefix never drops and rises by at most one per label, so a value of
+    alpha makes this label the least breakpoint, and a lower value comes
+    with an exact coloring to extend further.
+    """
     if alpha < 1:
         raise PreconditionFailed(f"alpha must be >= 1, got {alpha}")
     if graph.n == 0:
         raise PreconditionFailed("alpha sequence of an empty graph")
-    labels = list(graph.vertices)
-    r0, r_max = labels[0], labels[-1]
-    breakpoints = [r0]
-    pos = 0  # labels[pos:] not yet covered
-    while pos < len(labels):
-        rest = labels[pos:]
-        if chi_exact(graph.induced(rest), budget)[0] < alpha:
-            breakpoints.append(r_max)
-            break
-        # chi of a growing prefix steps by at most 1, so it hits alpha
-        block: list[int] = []
-        for idx, v in enumerate(rest):
-            block.append(v)
-            if chi_exact(graph.induced(block), budget)[0] == alpha:
-                breakpoints.append(v)
-                pos += idx + 1
-                break
+    labels = graph.vertices
+    adjacency = graph.adjacency
+    breakpoints = [labels[0]]
+    start = 0  # labels[start:] not yet covered by a finished block
+    colors: dict[int, int] = {}  # the open block, with fewer than alpha colors
+    for idx, v in enumerate(labels):
+        used = {colors[u] for u in adjacency[v] if u in colors}
+        c = 1
+        while c in used:
+            c += 1
+        if c < alpha:
+            colors[v] = c
+            continue
+        value, coloring = _memo_chi(memo, graph, labels[start : idx + 1], budget)
+        if value == alpha:
+            breakpoints.append(v)
+            start = idx + 1
+            colors = {}
+        else:
+            colors = dict(coloring.assignment)
+    if start < len(labels):
+        # the last block colors with fewer than alpha colors
+        breakpoints.append(labels[-1])
     return AlphaSequence(alpha, tuple(breakpoints))
+
+
+def _memo_chi(
+    memo: dict, graph: OrderedGraph, labels: Iterable[int], budget: int | None
+) -> tuple[int, Coloring]:
+    """chi_exact of the subgraph induced by the labels, which all lie in
+    the graph, solved once per vertex set: equal vertex sets of one
+    parent induce equal graphs, and chi_exact is deterministic."""
+    key = tuple(sorted(labels))
+    if key not in memo:
+        memo[key] = chi_exact(graph.induced(key), budget)
+    return memo[key]
 
 
 def extract_gap_subgraph(
@@ -166,36 +201,37 @@ def extract_gap_subgraph(
     union with the larger chromatic number (even wins ties).  Every edge
     uv of the result then has chi(graph restricted to labels strictly
     between u and v) >= 2**b, because a full interior block separates
-    their blocks.
+    their blocks.  Each vertex set is solved once per call.
     """
     if a < 0 or b < 0:
         raise PreconditionFailed("gap exponents must be nonnegative")
     need = 2 ** (a + b + 1)
-    if chi_exact(graph, budget)[0] <= need:
+    memo = {graph.vertices: chi_exact(graph, budget)}
+    if memo[graph.vertices][0] <= need:
         raise PreconditionFailed(f"chi(graph) must exceed {need}")
 
-    seq = alpha_sequence(graph, 2**b, budget)
+    seq = _alpha_sequence(graph, 2**b, budget, memo)
     blocks = seq.block_labels(graph)
 
     class_members: dict[int, list[int]] = {}
     block_index: dict[int, int] = {}
     for t, members in enumerate(blocks):
-        _, coloring = chi_exact(graph.induced(members), budget)
+        _, coloring = _memo_chi(memo, graph, members, budget)
         for v in members:
             class_members.setdefault(coloring.assignment[v], []).append(v)
             block_index[v] = t
 
     best_color, best_chi = None, -1
     for color in sorted(class_members):
-        value = chi_exact(graph.induced(class_members[color]), budget)[0]
+        value = _memo_chi(memo, graph, class_members[color], budget)[0]
         if value > best_chi:
             best_color, best_chi = color, value
     chosen = class_members[best_color]
 
     even = [v for v in chosen if block_index[v] % 2 == 0]
     odd = [v for v in chosen if block_index[v] % 2 == 1]
-    even_chi = chi_exact(graph.induced(even), budget)[0]
-    odd_chi = chi_exact(graph.induced(odd), budget)[0]
+    even_chi = _memo_chi(memo, graph, even, budget)[0]
+    odd_chi = _memo_chi(memo, graph, odd, budget)[0]
     winner = even if even_chi >= odd_chi else odd
     return graph.induced(winner)
 

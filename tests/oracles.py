@@ -4,7 +4,10 @@ Nothing here shares an algorithm with the package: crossings come from
 orientation predicates (and, for the full pair classification, from the
 Fraction-arithmetic kernel the package used before its integer one), chromatic numbers from plain color-assignment
 search in label order, cliques from subset enumeration, configurations
-from full tuple enumeration.
+from full tuple enumeration.  The exact-coloring layer is also checked
+against copies of the package's earlier implementations: induced
+subgraphs by edge scan, recursive branch and bound and clique search,
+and alpha sequences that solve every block prefix afresh.
 """
 
 from __future__ import annotations
@@ -14,7 +17,20 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from xmcurves import ConfigWitness, DegenerateCurve, OrderedGraph, PairContact, Point, PolyCurve
+from xmcurves import (
+    AlphaSequence,
+    BudgetExceeded,
+    Coloring,
+    ConfigWitness,
+    DegenerateCurve,
+    OrderedGraph,
+    PairContact,
+    Point,
+    PolyCurve,
+    PreconditionFailed,
+    chi_heuristic,
+)
+from xmcurves.coloring import _components, _greedy_clique
 
 
 def _ccw(a: Point, b: Point, c: Point) -> int:
@@ -255,3 +271,192 @@ def random_segment(rng: random.Random, cid: int, box: int) -> PolyCurve:
         y1 = Fraction(rng.randrange(0, 64 * box), 64)
         y2 = Fraction(rng.randrange(0, 64 * box), 64)
         return PolyCurve(cid, (Point(x1, y1), Point(x2, y2)))
+
+
+# ------------------------------------------------------------------
+# The exact-coloring engine before it reused work, copied verbatim except
+# that subgraphs come from `induced_by_edge_scan` and every solve from
+# `recursive_chi_exact`, so no new code path is shared.
+
+
+def induced_by_edge_scan(graph: OrderedGraph, labels) -> OrderedGraph:
+    keep = set(labels) & set(graph.vertices)
+    es = frozenset((u, v) for u, v in graph.edges if u in keep and v in keep)
+    return OrderedGraph(tuple(sorted(keep)), es)
+
+
+def recursive_omega_exact(graph: OrderedGraph) -> tuple[int, tuple[int, ...]]:
+    if graph.n == 0:
+        return 0, ()
+    adjacency = graph.adjacency
+
+    best_size = 1
+
+    def extend(candidates: set[int], size: int) -> None:
+        nonlocal best_size
+        if size > best_size:
+            best_size = size
+        if not candidates:
+            return
+        if size + len(candidates) <= best_size:
+            return
+        pivot = max(candidates, key=lambda u: (len(adjacency[u] & candidates), -u))
+        rest = candidates - adjacency[pivot]
+        for v in sorted(rest):
+            extend(candidates & adjacency[v], size + 1)
+            candidates = candidates - {v}
+
+    extend(set(graph.vertices), 0)
+
+    def lex_clique(prefix: list[int], candidates: set[int], need: int) -> list[int] | None:
+        if need == 0:
+            return prefix
+        if len(candidates) < need:
+            return None
+        for v in sorted(candidates):
+            found = lex_clique(
+                prefix + [v], {u for u in candidates if u > v} & adjacency[v], need - 1
+            )
+            if found is not None:
+                return found
+        return None
+
+    witness = lex_clique([], set(graph.vertices), best_size)
+    assert witness is not None
+    return best_size, tuple(witness)
+
+
+def recursive_chi_exact(graph: OrderedGraph, budget: int = 5_000_000) -> tuple[int, Coloring]:
+    if graph.n == 0:
+        return 0, Coloring({}, 0)
+    parts = _components(graph)
+    if len(parts) > 1:
+        assignment: dict[int, int] = {}
+        best = 0
+        for comp in parts:
+            value, coloring = _recursive_chi_connected(induced_by_edge_scan(graph, comp), budget)
+            assignment.update(coloring.assignment)
+            best = max(best, value)
+        return best, Coloring(assignment, best)
+    return _recursive_chi_connected(graph, budget)
+
+
+def _recursive_chi_connected(graph: OrderedGraph, budget: int) -> tuple[int, Coloring]:
+    ub, ub_coloring = chi_heuristic(graph, "dsatur")
+    clique = _greedy_clique(graph)
+    lb = max(1, len(clique))
+    if lb < ub:
+        lb = recursive_omega_exact(graph)[0]
+    if lb == ub:
+        return ub, ub_coloring
+
+    adjacency = graph.adjacency
+    degrees = {v: len(adjacency[v]) for v in graph.vertices}
+    nodes_used = 0
+
+    def colorable_with(k: int) -> dict[int, int] | None:
+        nonlocal nodes_used
+        assignment: dict[int, int] = {}
+        neighbor_colors: dict[int, set[int]] = {v: set() for v in graph.vertices}
+        for i, v in enumerate(clique[:k]):
+            assignment[v] = i + 1
+            for u in adjacency[v]:
+                neighbor_colors[u].add(i + 1)
+        uncolored = [v for v in graph.vertices if v not in assignment]
+
+        def backtrack(max_used: int) -> bool:
+            nonlocal nodes_used
+            if not uncolored:
+                return True
+            nodes_used += 1
+            if nodes_used > budget:
+                raise BudgetExceeded(f"exact coloring budget {budget} exhausted")
+            v = min(
+                uncolored,
+                key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u),
+            )
+            uncolored.remove(v)
+            limit = min(k, max_used + 1)
+            for c in range(1, limit + 1):
+                if c in neighbor_colors[v]:
+                    continue
+                assignment[v] = c
+                touched = [u for u in adjacency[v] if c not in neighbor_colors[u]]
+                for u in touched:
+                    neighbor_colors[u].add(c)
+                if backtrack(max(max_used, c)):
+                    return True
+                for u in touched:
+                    neighbor_colors[u].discard(c)
+                del assignment[v]
+            uncolored.append(v)
+            return False
+
+        if backtrack(min(k, len(clique))):
+            return dict(assignment)
+        return None
+
+    for k in range(lb, ub):
+        result = colorable_with(k)
+        if result is not None:
+            return k, Coloring(result, k)
+    return ub, ub_coloring
+
+
+def prefix_alpha_sequence(graph: OrderedGraph, alpha: int) -> tuple[int, ...]:
+    """Breakpoints of the alpha sequence, by an exact solve of the whole
+    rest before each block and of every growing block prefix."""
+    if alpha < 1:
+        raise PreconditionFailed(f"alpha must be >= 1, got {alpha}")
+    if graph.n == 0:
+        raise PreconditionFailed("alpha sequence of an empty graph")
+    labels = list(graph.vertices)
+    r0, r_max = labels[0], labels[-1]
+    breakpoints = [r0]
+    pos = 0
+    while pos < len(labels):
+        rest = labels[pos:]
+        if recursive_chi_exact(induced_by_edge_scan(graph, rest))[0] < alpha:
+            breakpoints.append(r_max)
+            break
+        block: list[int] = []
+        for idx, v in enumerate(rest):
+            block.append(v)
+            if recursive_chi_exact(induced_by_edge_scan(graph, block))[0] == alpha:
+                breakpoints.append(v)
+                pos += idx + 1
+                break
+    return tuple(breakpoints)
+
+
+def unshared_gap_subgraph(graph: OrderedGraph, a: int, b: int) -> OrderedGraph:
+    """extract_gap_subgraph with every subgraph solved afresh."""
+    if a < 0 or b < 0:
+        raise PreconditionFailed("gap exponents must be nonnegative")
+    need = 2 ** (a + b + 1)
+    if recursive_chi_exact(graph)[0] <= need:
+        raise PreconditionFailed(f"chi(graph) must exceed {need}")
+
+    blocks = AlphaSequence(2**b, prefix_alpha_sequence(graph, 2**b)).block_labels(graph)
+
+    class_members: dict[int, list[int]] = {}
+    block_index: dict[int, int] = {}
+    for t, members in enumerate(blocks):
+        _, coloring = recursive_chi_exact(induced_by_edge_scan(graph, members))
+        for v in members:
+            class_members.setdefault(coloring.assignment[v], []).append(v)
+            block_index[v] = t
+
+    best_color, best_chi = None, -1
+    for color in sorted(class_members):
+        value = recursive_chi_exact(induced_by_edge_scan(graph, class_members[color]))[0]
+        if value > best_chi:
+            best_color, best_chi = color, value
+    chosen = class_members[best_color]
+
+    even = [v for v in chosen if block_index[v] % 2 == 0]
+    odd = [v for v in chosen if block_index[v] % 2 == 1]
+    even_chi = recursive_chi_exact(induced_by_edge_scan(graph, even))[0]
+    odd_chi = recursive_chi_exact(induced_by_edge_scan(graph, odd))[0]
+    winner = even if even_chi >= odd_chi else odd
+    return induced_by_edge_scan(graph, winner)

@@ -3,10 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmcurves import (
     Arc,
     BudgetExceeded,
+    Coloring,
     NotAPoset,
     OrderedGraph,
     chi_exact,
@@ -16,7 +19,13 @@ from xmcurves import (
     omega_exact,
 )
 from xmcurves.coloring import arc_intersection_graph
-from oracles import brute_chi, brute_omega, random_graph
+from oracles import (
+    brute_chi,
+    brute_omega,
+    random_graph,
+    recursive_chi_exact,
+    recursive_omega_exact,
+)
 
 
 def cycle(n):
@@ -157,3 +166,57 @@ def test_solver_determinism():
     assert chi_exact(g) == chi_exact(g)
     assert omega_exact(g) == omega_exact(g)
     assert chi_heuristic(g, "dsatur") == chi_heuristic(g, "dsatur")
+
+
+def edgeless(labels):
+    return OrderedGraph.from_edges(labels, [])
+
+
+def test_edgeless_chi_exact_colors_everything_one():
+    for labels in ([7], range(1, 6), range(-3, 61)):
+        g = edgeless(labels)
+        want = recursive_chi_exact(g)  # the component-by-component answer
+        assert chi_exact(g) == want == (1, Coloring(dict.fromkeys(labels, 1), 1))
+        assert chi_exact(g, budget=1) == want
+    big = edgeless(range(1, 66))
+    with pytest.raises(BudgetExceeded, match="exceeds default cap"):
+        chi_exact(big)
+    assert chi_exact(big, budget=1) == (1, Coloring(dict.fromkeys(range(1, 66), 1), 1))
+
+
+def test_long_odd_cycle_needs_no_recursion():
+    g = cycle(1501)
+    value, coloring = chi_exact(g, budget=10**7)
+    assert value == 3 and coloring.is_proper(g)
+    assert omega_exact(g)[0] == 2
+
+
+@st.composite
+def dense_graphs(draw):
+    """Up to 13 labels with a drawn edge density, often enough for the
+    clique bound to fall short of DSATUR, so the search must branch."""
+    n = draw(st.integers(1, 13))
+    percent = draw(st.integers(10, 90))
+    seed = draw(st.integers(0, 2**32))
+    return random_graph(random.Random(seed), n, percent)
+
+
+@given(g=dense_graphs())
+@settings(max_examples=200, deadline=None)
+def test_exact_solvers_match_recursive_search(g):
+    # same value, same coloring, same lexicographically least witness
+    assert chi_exact(g) == recursive_chi_exact(g)
+    size, witness = omega_exact(g)
+    assert (size, witness.vertices) == recursive_omega_exact(g)
+
+
+def test_exact_solvers_match_recursive_search_when_branching():
+    rng = random.Random(41)
+    branched = 0
+    for _ in range(40):
+        g = random_graph(rng, 16, 45)
+        branched += omega_exact(g)[0] < chi_heuristic(g, "dsatur")[0]
+        assert chi_exact(g) == recursive_chi_exact(g)
+        size, witness = omega_exact(g)
+        assert (size, witness.vertices) == recursive_omega_exact(g)
+    assert branched >= 5

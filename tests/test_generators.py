@@ -106,3 +106,25 @@ def test_bad_specs_rejected():
         plant_configuration("type1", 1)
     with pytest.raises(ValueError):
         plant_configuration("clique", 2)
+
+
+def test_ray_clip_is_one_past_the_last_crossing():
+    # the clip rule in Fraction arithmetic: one past the spread or past
+    # the rightmost pairwise crossing of the unclipped rays, if larger
+    from fractions import Fraction
+
+    for n in (2, 3, 9, 17):
+        for seed in range(12):
+            for spread in (3, 16):
+                fam = generate(GenSpec(kind="rays", n=n, seed=seed, coordinate_range=spread))
+                clip = fam.curves[0].vertices[-1].x
+                starts = [c.vertices[0].y for c in fam.curves]
+                slopes = [(c.vertices[-1].y - c.vertices[0].y) / clip for c in fam.curves]
+                bound = Fraction(spread)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if slopes[i] != slopes[j]:
+                            x_star = (starts[j] - starts[i]) / (slopes[i] - slopes[j])
+                            bound = max(bound, x_star)
+                assert clip == bound + 1
+                assert all(c.vertices[-1].x == clip for c in fam.curves)

@@ -1,12 +1,18 @@
 """Golden stdout: the sha256 of `xmcurves gen` output for every generator
-kind at fixed seeds, and of a few `experiment` tables.  The hashes were
-taken from the Fraction-arithmetic geometry kernel, before the integer
-kernel and incremental redraw checks replaced it; any change to a
-generated family or a table row changes a hash."""
+kind at fixed seeds, of a few `experiment` tables, and of the lemma and
+exact-coloring subcommands on fixed generated families.  The `gen` and
+`experiment` hashes were taken from the Fraction-arithmetic geometry
+kernel, before the integer kernel and incremental redraw checks replaced
+it; the lemma hashes were taken from the exact-coloring engine that
+solved every alpha-sequence prefix and every repeated subgraph afresh.
+Any change to a generated family, a table row, a breakpoint, a chromatic
+number, a coloring or a gap subgraph changes a hash."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -69,6 +75,74 @@ EXPERIMENT_GOLDEN = [
      "0aa4011c493c26589e8febfd9e3dfd47d396bacc9d266968fbc5238d5cc21b65"),
 ]
 
+# Lemma and exact-coloring subcommands, run with `--file` on the stdout
+# of a `gen` invocation (the family named by the first field).
+LEMMA_FAMILIES = {
+    "rfp30": "gen --kind rightflagpolylines --n 30 --segments 2 --seed 4",
+    "rfp40": "gen --kind rightflagpolylines --n 40 --seed 9",
+    "rays20": "gen --kind rays --n 20 --seed 0",
+    "unit30": "gen --kind unitsegments --n 30 --seed 0",
+}
+
+LEMMA_GOLDEN = [
+    ("rfp30", "alphaseq --alpha 1",
+     "e3b1790bbe2a09a0dfb268f36e38375b613341fa4bb8329f6170d10c9d1d6fee"),
+    ("rfp30", "alphaseq --alpha 2",
+     "53ba885e09c4d250267bc762e05003388a737f1d9e2b0ffbfcb1dbee002de6ef"),
+    ("rfp30", "alphaseq --alpha 3",
+     "9ee9831bc3542e8d08b6ad6f426133adcc37f392cb06b564db9da22d8ea8986e"),
+    ("rfp30", "gapsub --a 0 --b 0",
+     "db348809614848004400ccd1b6f16d8b0a35baed73fc8c9bbf4e17367055b399"),
+    ("rfp30", "gapsub --a 0 --b 1",
+     "c753fa938cb447132d5ab3e6ce071e842308766e56940fa4596095f9e9075e54"),
+    ("rfp30", "layers --source 1",
+     "f9b19787644494d9d9a358b65fb269cc800fce58c386570da0b914f5bfba5599"),
+    ("rfp30", "chi --exact",
+     "f98badf3a4e6901a27cd5a2cf2e98dea52f1a7c3e9535783c083acab9b3dc4f9"),
+    ("rfp40", "alphaseq --alpha 1",
+     "428a2502e87a07b3b496896523eef8c64c852d834e8585484285918f8668ae14"),
+    ("rfp40", "alphaseq --alpha 2",
+     "0b069dcf7e344c39be4a2927f08269b6a52e6e6aabf78c6f29af09bf4efe6982"),
+    ("rfp40", "alphaseq --alpha 3",
+     "b404671c486f2d48ca94b564336a1b137af5f7f280698ac3812c9bb34810aa92"),
+    ("rfp40", "gapsub --a 0 --b 0",
+     "69c7d86c332e2713d4cf703b78f89e96e17cc75720f30870b26261e233a5cf82"),
+    ("rfp40", "gapsub --a 0 --b 1",
+     "ef3af7364d9a2edabd59f3a7501974708a17b6d951a0001d645930e77a80b563"),
+    ("rfp40", "layers --source 1",
+     "33a91a482bd41066c29d7d520983695a4361ec4bdd8ec3b6b27dc18e0fefa45e"),
+    ("rfp40", "chi --exact",
+     "7c9be5ee99ee43c0b834bcc5fc22a3d04ebe42b77e93bf16937b101d345a384f"),
+    ("rays20", "alphaseq --alpha 1",
+     "549386d6b4d0b4fdcb7831f1d3c64ba8e0609127c999aab42d740ea62f37c6cd"),
+    ("rays20", "alphaseq --alpha 2",
+     "f44800bd49bea0e37889c5f2a5361553af328e5e3aa36ce8be9b57a3020a94b2"),
+    ("rays20", "alphaseq --alpha 3",
+     "eba5992b734675136d42a60fe11bd6047740552e73a4632cf4f92399d3ca8887"),
+    ("rays20", "gapsub --a 0 --b 0",
+     "0f96283b10cd3b9232e7f9fc460509a405db9ff24853b7fcf0af34ad61203da3"),
+    ("rays20", "gapsub --a 0 --b 1",
+     "db19e6c4fe15d84a2977a7ddaedc7292c683b66acf0efae6c3e6ed0d069bc385"),
+    ("rays20", "layers --source 1",
+     "48db7a0518ea53be4df01be7140cb96414d609eb6f5a864d3fe8f1f586a14088"),
+    ("rays20", "chi --exact",
+     "bc459f44d2610a196d34c61583145e3a40c75dca64cb77180c71c113264b9ec2"),
+    ("unit30", "alphaseq --alpha 1",
+     "e3b1790bbe2a09a0dfb268f36e38375b613341fa4bb8329f6170d10c9d1d6fee"),
+    ("unit30", "alphaseq --alpha 2",
+     "f758be769e3f85056073dae2e00a9d78a11047ec67dbf5e264219b9210ef054d"),
+    ("unit30", "alphaseq --alpha 3",
+     "5662206b477665a276235303860eb241675cb164c06d60e135d2ab14ebe87893"),
+    ("unit30", "gapsub --a 0 --b 0",
+     "08ae6c0327ea3911d3376ee63d37591a68e3727300dab125fdabc42d8ff4d2f4"),
+    ("unit30", "gapsub --a 0 --b 1",
+     "fd88a42d2c36cea17529770c9d5a1ec41cdedadfd071ce551bdfdb4592a4031c"),
+    ("unit30", "layers --source 1",
+     "d0777e49ff366a19e775c6adc1a3967f19f2812fe9d73c55229fe31c13249d20"),
+    ("unit30", "chi --exact",
+     "f2570f0fc816fc6916d84dc079eab3537a9e28a76b2bca965c608f776e521cc1"),
+]
+
 
 def test_every_generator_kind_is_pinned():
     assert {argv.split()[2] for argv, _ in GEN_GOLDEN} == set(GEN_KINDS)
@@ -77,5 +151,26 @@ def test_every_generator_kind_is_pinned():
 @pytest.mark.parametrize("argv, digest", GEN_GOLDEN + EXPERIMENT_GOLDEN)
 def test_stdout_matches_golden_hash(capsys, argv, digest):
     assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def family_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lemma-families")
+    paths = {}
+    for name, argv in LEMMA_FAMILIES.items():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv.split()) == 0
+        paths[name] = root / f"{name}.xmc"
+        paths[name].write_text(text.getvalue(), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("family, argv, digest", LEMMA_GOLDEN)
+def test_lemma_stdout_matches_golden_hash(capsys, family_files, family, argv, digest):
+    command, *options = argv.split()
+    assert main([command, "--file", str(family_files[family]), *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmcurves import (
@@ -19,7 +19,7 @@ from xmcurves import (
 from xmcurves.generators import GenSpec, generate
 from xmcurves.graphs import adjacency_lines, to_dot
 from conftest import five_curve_family
-from oracles import polyline_family_edges
+from oracles import induced_by_edge_scan, polyline_family_edges
 
 
 def complete_graph(n):
@@ -150,3 +150,27 @@ def test_exports():
     assert adjacency_lines(g) == ["1: 2", "2: 1", "3: "]
     dot = to_dot(g)
     assert "1 -- 2;" in dot and dot.startswith("graph G {")
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A graph on up to 12 arbitrary labels, with any edge set."""
+    vertices = sorted(draw(st.sets(st.integers(-5, 30), max_size=12)))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return OrderedGraph.from_edges(vertices, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@given(graph=labeled_graphs(), labels=st.lists(st.integers(-8, 34), max_size=16))
+@example(graph=complete_graph(4), labels=[])
+@example(graph=complete_graph(4), labels=[0, 7, 9])
+@example(graph=complete_graph(4), labels=[8, 3, 4, 3, 5])
+@settings(max_examples=150, deadline=None)
+def test_induced_matches_edge_scan(graph, labels):
+    # labels outside the graph, repeats and the empty list are all drawn
+    sub = graph.induced(labels)
+    want = induced_by_edge_scan(graph, labels)
+    assert sub.vertices == want.vertices and sub.edges == want.edges
+    assert sub.adjacency == want.adjacency
+    assert sub.induced(iter(labels)) == sub
+

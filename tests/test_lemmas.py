@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmcurves import (
     KTooSmall,
@@ -23,9 +25,14 @@ from xmcurves import (
 )
 from xmcurves.coloring import arc_intersection_graph, omega_exact
 from xmcurves.geometry import crossing_points
-from xmcurves.lemmas import decomposition_report
+from xmcurves.lemmas import _memo_chi, decomposition_report
 from conftest import five_curve_family, ladder_arc_family
-from oracles import random_connected_graph, random_graph
+from oracles import (
+    prefix_alpha_sequence,
+    random_connected_graph,
+    random_graph,
+    unshared_gap_subgraph,
+)
 
 
 def path(n):
@@ -331,3 +338,53 @@ def test_decomposition_report_format():
     assert "class 1 : 2 4 5" in lines
     assert "range 3 : l=2 u=3 side=above" in lines
     assert any(line.startswith("slack k=2") for line in lines)
+
+
+@st.composite
+def lemma_graphs(draw):
+    """Random graphs on up to 12 labels, or blocky graphs of two to four
+    clique blocks with drawn bridges."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return random_graph(rng, draw(st.integers(1, 12)), draw(st.integers(10, 90)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    return blocky_graph(rng, sizes, bridge_percent=draw(st.integers(0, 40)))
+
+
+@given(g=lemma_graphs(), alpha=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_alpha_sequence_matches_prefix_solves(g, alpha):
+    assert alpha_sequence(g, alpha).breakpoints == prefix_alpha_sequence(g, alpha)
+
+
+@given(g=lemma_graphs(), a=st.integers(0, 1), b=st.integers(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_gap_subgraph_matches_unshared_solves(g, a, b):
+    try:
+        want = unshared_gap_subgraph(g, a, b)
+    except PreconditionFailed:
+        with pytest.raises(PreconditionFailed):
+            extract_gap_subgraph(g, a, b)
+        return
+    assert extract_gap_subgraph(g, a, b) == want
+
+
+def test_gap_subgraph_matches_unshared_solves_on_criterion_graphs():
+    rng = random.Random(6)
+    for a, b in ((0, 0), (0, 1), (1, 0)):
+        need = 2 ** (a + b + 1)
+        for _ in range(8):
+            g = blocky_graph(rng, [need + 1 + rng.randrange(2) for _ in range(3)], 3)
+            if chi_exact(g)[0] > need:
+                assert extract_gap_subgraph(g, a, b) == unshared_gap_subgraph(g, a, b)
+
+
+def test_chi_memo_returns_a_fresh_solve():
+    rng = random.Random(17)
+    g = blocky_graph(rng, [4, 5, 4], bridge_percent=15)
+    memo: dict = {}
+    for labels in ([1, 2, 3, 4, 5], range(3, 11), [13, 2, 8, 6], [1, 2, 3, 4, 5], range(1, 14)):
+        fresh = chi_exact(g.induced(labels))
+        assert _memo_chi(memo, g, labels, None) == fresh
+        assert _memo_chi(memo, g, labels, None) == fresh  # now from the memo
+    assert len(memo) == 4
