@@ -38,19 +38,15 @@ from .geometry import (
     Violation,
     crossing_points,
     curve,
-    join_at_y_axis,
     pair_contacts,
-    perturb_vertically,
     pt,
     split_at_y_axis,
     validate_family,
 )
 from .graphs import (
     CurveFamily,
-    IntervalSpec,
     OrderedGraph,
     build_intersection_graph,
-    induced_interval,
     intersection_graph_of_curves,
     min_right_end_x,
 )

@@ -1,8 +1,9 @@
 """Command-line surface for validation, solving, lemma machinery,
 detection, generation, and experiment tables.
 
-Exit codes: 0 success, 1 validation or precondition failure (the message
-names the violated condition), 2 resource budget exceeded.
+Exit codes: 0 success, 1 validation or precondition failure or an
+unreadable input file (the message names the violated condition), 2
+resource budget exceeded or a usage error that argparse reports.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graphs import (
     CurveFamily,
     adjacency_lines,
     build_intersection_graph,
+    cliques_ascending,
     intersection_graph_of_curves,
     to_dot,
 )
@@ -147,17 +149,11 @@ def cmd_detect(args) -> int:
 def cmd_shortcheck(args) -> int:
     family = _load_family(args.file)
     graph = build_intersection_graph(family)
-    sizes = [args.k] if args.k else list(range(2, min(family.n, 5)))
+    sizes = [args.k] if args.k is not None else list(range(2, min(family.n, 5)))
     checked = 0
-    from itertools import combinations
-
     for size in sizes:
-        for clique in combinations(graph.vertices, size):
-            if not all(graph.has_edge(a, b) for a, b in combinations(clique, 2)):
-                continue
+        for clique in cliques_ascending(graph, size):
             for inner in range(clique[0] + 1, clique[-1]):
-                if inner in clique or inner not in graph.adjacency:
-                    continue
                 if any(graph.has_edge(inner, v) for v in clique):
                     continue
                 checked += 1
@@ -437,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except XmcurvesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

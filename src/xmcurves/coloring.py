@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, NotAPoset
 from .geometry import Arc
-from .graphs import OrderedGraph, intersection_graph_of_curves
+from .graphs import OrderedGraph, cliques_ascending, intersection_graph_of_curves, is_clique
 
 DEFAULT_VERTEX_CAP = 64
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -39,12 +39,7 @@ class CliqueWitness:
     vertices: tuple[int, ...]
 
     def is_clique(self, graph: OrderedGraph) -> bool:
-        vs = self.vertices
-        return all(
-            graph.has_edge(vs[i], vs[j])
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
-        )
+        return is_clique(graph, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -269,22 +264,8 @@ def omega_exact(graph: OrderedGraph) -> tuple[int, CliqueWitness]:
         frame[0], frame[3] = candidates - {v}, i + 1
         enter(candidates & adjacency[v], size + 1)
 
-    # Lexicographically least clique of that size: the first one a depth
-    # first search in increasing label order completes.
-    witness: list[int] = []
-    levels = [(sorted(graph.vertices), 0)]
-    while len(witness) < best_size:
-        order, i = levels[-1]
-        need = best_size - len(witness)
-        if i == len(order) or len(order) - i < need:
-            levels.pop()
-            witness.pop()
-            continue
-        v = order[i]
-        levels[-1] = (order, i + 1)
-        witness.append(v)
-        levels.append(([u for u in order[i + 1 :] if u in adjacency[v]], 0))
-    return best_size, CliqueWitness(tuple(witness))
+    witness = next(cliques_ascending(graph, best_size))
+    return best_size, CliqueWitness(witness)
 
 
 def arc_intersection_graph(arcs: Sequence[Arc]) -> OrderedGraph:

@@ -10,11 +10,10 @@ and non-strict for type 3; the asymmetry is deliberate and preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceeded, PreconditionFailed
-from .graphs import CurveFamily, OrderedGraph, min_right_end_x
+from .graphs import CurveFamily, OrderedGraph, cliques_ascending, is_clique, min_right_end_x
 
 KINDS = ("type1", "type2", "type3", "clique")
 
@@ -47,10 +46,6 @@ class ConfigWitness:
         return f"witness {self.kind} k={k} K1={k1} K2={k2} q={q}"
 
 
-def _is_clique(graph: OrderedGraph, vs: Sequence[int]) -> bool:
-    return all(graph.has_edge(a, b) for a, b in combinations(vs, 2))
-
-
 def _disjoint_from(graph: OrderedGraph, q: int, vs: Sequence[int]) -> bool:
     return all(not graph.has_edge(q, v) for v in vs)
 
@@ -70,17 +65,17 @@ def verify_witness(family: CurveFamily, graph: OrderedGraph, w: ConfigWitness) -
     if list(vs) != sorted(vs):
         return False
     if w.kind == "clique":
-        return len(w.clique_low) >= 1 and _is_clique(graph, w.clique_low)
+        return len(w.clique_low) >= 1 and is_clique(graph, w.clique_low)
     if w.kind == "type1":
         return (
-            _is_clique(graph, w.clique_low)
+            is_clique(graph, w.clique_low)
             and w.lonely > max(w.clique_low)
             and _disjoint_from(graph, w.lonely, w.clique_low)
             and family.right_end_x(w.lonely) < min_right_end_x(family, w.clique_low)
         )
     if w.kind == "type2":
         return (
-            _is_clique(graph, w.clique_low)
+            is_clique(graph, w.clique_low)
             and w.lonely < min(w.clique_low)
             and _disjoint_from(graph, w.lonely, w.clique_low)
             and family.right_end_x(w.lonely) < min_right_end_x(family, w.clique_low)
@@ -89,30 +84,13 @@ def verify_witness(family: CurveFamily, graph: OrderedGraph, w: ConfigWitness) -
         both = w.clique_low + w.clique_high
         return (
             len(w.clique_low) == len(w.clique_high)
-            and _is_clique(graph, w.clique_low)
-            and _is_clique(graph, w.clique_high)
+            and is_clique(graph, w.clique_low)
+            and is_clique(graph, w.clique_high)
             and max(w.clique_low) < w.lonely < min(w.clique_high)
             and _disjoint_from(graph, w.lonely, both)
             and family.right_end_x(w.lonely) <= min_right_end_x(family, both)
         )
     return False
-
-
-def _cliques_ascending(graph: OrderedGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-cliques in lexicographic order of their sorted vertex tuple."""
-    adjacency = graph.adjacency
-
-    def extend(prefix: list[int], candidates: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for i, v in enumerate(candidates):
-            if len(prefix) + 1 + len(candidates) - i - 1 < k:
-                break
-            rest = [u for u in candidates[i + 1 :] if u in adjacency[v]]
-            yield from extend(prefix + [v], rest)
-
-    yield from extend([], list(graph.vertices))
 
 
 def detect_config(
@@ -132,13 +110,13 @@ def detect_config(
         raise BudgetExceeded(f"n={graph.n} exceeds detection cap {cap}")
 
     if kind == "clique":
-        for clique in _cliques_ascending(graph, k):
+        for clique in cliques_ascending(graph, k):
             return ConfigWitness("clique", clique)
         return None
 
     if kind == "type1":
         # tuple (K1..., q): clique order dominates, then least q
-        for clique in _cliques_ascending(graph, k):
+        for clique in cliques_ascending(graph, k):
             x_k = min_right_end_x(family, clique)
             for q in graph.vertices:
                 if q <= clique[-1]:
@@ -150,7 +128,7 @@ def detect_config(
     if kind == "type2":
         # tuple (q, K1...): least q dominates, then clique order
         for q in graph.vertices:
-            for clique in _cliques_ascending(graph.induced(
+            for clique in cliques_ascending(graph.induced(
                 [v for v in graph.vertices if v > q]
             ), k):
                 if _disjoint_from(graph, q, clique) and family.right_end_x(
@@ -160,7 +138,7 @@ def detect_config(
         return None
 
     # type3: tuple (K1..., q, K2...)
-    for clique_low in _cliques_ascending(graph, k):
+    for clique_low in cliques_ascending(graph, k):
         for q in graph.vertices:
             if q <= clique_low[-1]:
                 continue
@@ -170,7 +148,7 @@ def detect_config(
             if xq > min_right_end_x(family, clique_low):
                 continue
             upper = graph.induced([v for v in graph.vertices if v > q])
-            for clique_high in _cliques_ascending(upper, k):
+            for clique_high in cliques_ascending(upper, k):
                 if not _disjoint_from(graph, q, clique_high):
                     continue
                 if xq <= min_right_end_x(family, clique_high):
@@ -188,7 +166,7 @@ def short_check(
     geometry bug, not a data condition.
     """
     vs = sorted(clique)
-    if len(vs) < 2 or not _is_clique(graph, vs):
+    if len(vs) < 2 or not is_clique(graph, vs):
         raise PreconditionFailed("the index set must cross pairwise")
     if not vs[0] < inner < vs[-1]:
         raise PreconditionFailed("the inner curve must lie strictly inside the set")

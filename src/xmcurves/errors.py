@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: budget overruns exit 2, everything
-else here exits 1 with a message naming the violated condition.
+else here exits 1 with a message naming the violated condition.  Exit
+code 2 is shared with argparse, which exits 2 on a usage error.
 """
 
 
@@ -42,7 +43,7 @@ class KTooSmall(XmcurvesError):
     """Threshold schedule requires k >= 2."""
 
 
-class PreconditionFailed(XmcurvesError):
+class PreconditionFailed(XmcurvesError, ValueError):
     """A stated operation precondition does not hold for the input."""
 
 

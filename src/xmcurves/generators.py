@@ -3,14 +3,18 @@
 All coordinates are exact rationals built from integer draws of a seeded
 PRNG; no floating point enters generation, so equal specs give byte-equal
 families.  Generators retry by redrawing only offending curves (bounded,
-seeded) until the family validates; each re-check tests again only the
-pairs that involve a redrawn curve.
+seeded) until the family validates.  A re-check tests again only the
+pairs that involve a new curve object; for rays, whose clip moves with
+every slope, that is every pair.
 
 Model notes: every one-sided family is grounded on the y-axis, because
 family validation requires right flags.  Rays are grounded rays clipped
 to a box past every pairwise crossing, which preserves the intersection
-graph exactly.  Unit segments are grounded segments of exact squared
-length 1 (rational directions from Pythagorean triples).
+graph exactly.  As they start on x = 0 and end on one vertical line, two
+rays cross exactly when their order flips: the graph is the permutation
+graph of the right-end order, which is perfect, so chi = omega on every
+ray family.  Unit segments are grounded segments of exact squared length
+1 (rational directions from Pythagorean triples).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configurations import ConfigWitness, verify_witness
-from .errors import GenerationFailed
+from .errors import GenerationFailed, PreconditionFailed
 from .geometry import Point, PolyCurve, ValidationReport, split_at_y_axis, validate_family
 from .graphs import CurveFamily, build_intersection_graph
 
@@ -49,11 +53,13 @@ class GenSpec:
 
     def __post_init__(self):
         if self.kind not in GEN_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise PreconditionFailed(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise PreconditionFailed("n must be >= 1")
         if self.segments_per_curve < 1:
-            raise ValueError("segments_per_curve must be >= 1")
+            raise PreconditionFailed("segments_per_curve must be >= 1")
+        if self.coordinate_range < 1:
+            raise PreconditionFailed("coordinate_range must be >= 1")
 
 
 def _intercepts(rng: random.Random, n: int, spread: int) -> list[Fraction]:
@@ -76,16 +82,19 @@ def _family(curves: list[PolyCurve], report: ValidationReport) -> CurveFamily:
     return CurveFamily(tuple(curves), report.edges)
 
 
-def _redraw_loop(curves: list[PolyCurve], redraw) -> CurveFamily:
+def _redraw_loop(build, redraw) -> CurveFamily:
+    """Validate build(), curves with ids 1..n bottom to top, until it
+    passes; after a failed round call redraw(cid, damp) for every
+    offender, with damp shrinking so that dense instances converge."""
     report = None
     for round_no in range(MAX_REDRAW_ROUNDS):
+        curves = build()
         report = validate_family(curves, report)
         if report.ok:
             return _family(curves, report)
         damp = Fraction(1, 1 + round_no)
         for cid in _offenders(report):
-            idx = next(i for i, c in enumerate(curves) if c.id == cid)
-            curves[idx] = redraw(curves[idx], damp)
+            redraw(cid, damp)
     raise GenerationFailed(f"no valid family after {MAX_REDRAW_ROUNDS} redraw rounds")
 
 
@@ -124,16 +133,10 @@ def _gen_rays(rng: random.Random, n: int, spread: int) -> CurveFamily:
             for i in range(n)
         ]
 
-    curves = build()
-    for _ in range(MAX_REDRAW_ROUNDS):
-        # build() remakes every curve, so no earlier contact can be reused
-        report = validate_family(curves)
-        if report.ok:
-            return _family(curves, report)
-        for cid in _offenders(report):
-            slopes[cid - 1] = random_slope()
-        curves = build()  # clip bound depends on every slope
-    raise GenerationFailed(f"no valid ray family after {MAX_REDRAW_ROUNDS} rounds")
+    def redraw(cid: int, damp: Fraction) -> None:
+        slopes[cid - 1] = random_slope()
+
+    return _redraw_loop(build, redraw)
 
 
 def _gen_unit_segments(rng: random.Random, n: int, spread: int) -> CurveFamily:
@@ -155,21 +158,12 @@ def _gen_unit_segments(rng: random.Random, n: int, spread: int) -> CurveFamily:
         y0 = ys[cid - 1]
         return PolyCurve(cid, (Point(Fraction(0), y0), Point(dx, y0 + dy)))
 
-    return _redraw_loop(
-        [make(i) for i in range(1, n + 1)], lambda c, damp: make(c.id)
-    )
+    curves = [make(i) for i in range(1, n + 1)]
 
+    def redraw(cid: int, damp: Fraction) -> None:
+        curves[cid - 1] = make(cid)
 
-def _gen_crossing_fan(rng: random.Random, k: int, spread: int) -> list[PolyCurve]:
-    # descending fan: curve at height y runs to (L, -y^2); any two cross at
-    # x = L/(1 + y_i + y_j) with a crossing point symmetric in the pair, so
-    # no two distinct pairs can collide and the family is always valid
-    ys = _intercepts(rng, k, spread)
-    length = Fraction(max(spread, 8))
-    return [
-        PolyCurve(i + 1, (Point(Fraction(0), ys[i]), Point(length, -ys[i] ** 2)))
-        for i in range(k)
-    ]
+    return _redraw_loop(lambda: curves, redraw)
 
 
 def _polyline_tail(
@@ -199,9 +193,12 @@ def _gen_right_flag_polylines(
             cid, _polyline_tail(rng, ys[cid - 1], spread, segments, damp)
         )
 
-    return _redraw_loop(
-        [make(i) for i in range(1, n + 1)], lambda c, damp: make(c.id, damp)
-    )
+    curves = [make(i) for i in range(1, n + 1)]
+
+    def redraw(cid: int, damp: Fraction) -> None:
+        curves[cid - 1] = make(cid, damp)
+
+    return _redraw_loop(lambda: curves, redraw)
 
 
 def _gen_two_sided(
@@ -215,19 +212,15 @@ def _gen_two_sided(
         mirrored = tuple(Point(-v.x, v.y) for v in reversed(left))
         return PolyCurve(cid, mirrored[:-1] + right)
 
+    # not _redraw_loop: each round validates two half-families, and the
+    # result is the unsplit list rather than a family
     curves = [make(i) for i in range(1, n + 1)]
     halves = [split_at_y_axis(c) for c in curves]
     left_report = right_report = None
     for round_no in range(MAX_REDRAW_ROUNDS):
         left_report = validate_family([h[0] for h in halves], left_report)
         right_report = validate_family([h[1] for h in halves], right_report)
-        offenders = sorted(
-            {
-                cid
-                for v in left_report.violations + right_report.violations
-                for cid in v.curves
-            }
-        )
+        offenders = sorted({*_offenders(left_report), *_offenders(right_report)})
         if not offenders:
             return curves
         # progressively tamer redraws keep dense instances convergent
@@ -243,6 +236,9 @@ def _jittered(rng: random.Random, base: int) -> Fraction:
 
 
 def _descending_fan(ys: list[Fraction], length: Fraction, first_id: int) -> list[PolyCurve]:
+    # curve at height y runs to (L, -y^2); any two cross at
+    # x = L/(1 + y_i + y_j) with a crossing point symmetric in the pair, so
+    # no two distinct pairs can collide and the family is always valid
     return [
         PolyCurve(first_id + i, (Point(Fraction(0), y), Point(length, -(y**2))))
         for i, y in enumerate(ys)
@@ -262,9 +258,9 @@ def plant_configuration(
     """A family that provably contains the requested configuration,
     together with its witness (always re-verified geometrically)."""
     if kind not in ("type1", "type2", "type3"):
-        raise ValueError(f"cannot plant configuration kind {kind!r}")
+        raise PreconditionFailed(f"cannot plant configuration kind {kind!r}")
     if k < 2:
-        raise ValueError("planting needs k >= 2")
+        raise PreconditionFailed("planting needs k >= 2")
     rng = random.Random(seed)
     length = Fraction(8 * (k + 2))
     short_end = Fraction(1, 2)
@@ -316,9 +312,9 @@ def generate(spec: GenSpec) -> CurveFamily | list[PolyCurve]:
         return _gen_unit_segments(rng, spec.n, spec.coordinate_range)
     if spec.kind == "crossingfan":
         k = spec.k or spec.n
-        return CurveFamily.from_curves(
-            _gen_crossing_fan(rng, k, spec.coordinate_range)
-        )
+        ys = _intercepts(rng, k, spec.coordinate_range)
+        length = Fraction(max(spec.coordinate_range, 8))
+        return CurveFamily.from_curves(_descending_fan(ys, length, 1))
     if spec.kind == "rightflagpolylines":
         return _gen_right_flag_polylines(
             rng, spec.n, spec.coordinate_range, spec.segments_per_curve

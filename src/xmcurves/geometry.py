@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import DegenerateCurve, NotCrossingAxis
 
@@ -68,18 +68,10 @@ class PolyCurve:
     def x_end(self) -> Fraction:
         return self.vertices[-1].x
 
-    @property
-    def right_end_x(self) -> Fraction:
-        """Abscissa of the right endpoint."""
-        return self.vertices[-1].x
-
     def is_x_monotone(self) -> bool:
         if len(self.vertices) < 2:
             return False
         return all(a.x < b.x for a, b in zip(self.vertices, self.vertices[1:]))
-
-    def is_right_flag(self) -> bool:
-        return self.is_x_monotone() and self.vertices[0].x == 0
 
     def y_at(self, x: Fraction) -> Fraction:
         """Exact height of the curve at abscissa x; requires coverage."""
@@ -446,40 +438,3 @@ def split_at_y_axis(c: PolyCurve) -> tuple[PolyCurve, PolyCurve]:
     right_raw = [axis] + [v for v in c.vertices if v.x > 0]
     mirrored = tuple(Point(-v.x, v.y) for v in reversed(left_raw))
     return PolyCurve(c.id, mirrored), PolyCurve(c.id, tuple(right_raw))
-
-
-def join_at_y_axis(left_flag: PolyCurve, right_flag: PolyCurve) -> PolyCurve:
-    """Inverse of split_at_y_axis: un-mirror the left part and rejoin.
-
-    The axis vertex is kept only when it bends the polyline; a collinear
-    axis vertex was interpolated by the split and is dropped, so curves
-    whose vertex lists are canonical round-trip exactly.
-    """
-    if left_flag.vertices[0].x != 0 or right_flag.vertices[0].x != 0:
-        raise ValueError("both parts must start on the y-axis")
-    if left_flag.vertices[0].y != right_flag.vertices[0].y:
-        raise ValueError("parts do not share the axis point")
-    unmirrored = tuple(Point(-v.x, v.y) for v in reversed(left_flag.vertices))
-    joined = unmirrored + right_flag.vertices[1:]
-    k = len(unmirrored) - 1  # position of the axis vertex
-    if 0 < k < len(joined) - 1:
-        before, axis, after = joined[k - 1], joined[k], joined[k + 1]
-        if (axis.y - before.y) * (after.x - axis.x) == (after.y - axis.y) * (
-            axis.x - before.x
-        ):
-            joined = joined[:k] + joined[k + 1 :]
-    return PolyCurve(right_flag.id, joined)
-
-
-def perturb_vertically(
-    curves: Iterable[PolyCurve], eps: RationalLike
-) -> list[PolyCurve]:
-    """Shift the i-th curve's vertices up by i*eps (1-based, exact).
-
-    A deterministic general-position repair for generator output.
-    """
-    e = rat(eps)
-    out = []
-    for i, c in enumerate(curves, start=1):
-        out.append(PolyCurve(c.id, tuple(Point(v.x, v.y + i * e) for v in c.vertices)))
-    return out

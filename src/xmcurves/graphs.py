@@ -1,4 +1,4 @@
-"""Ordered intersection graphs of curve families and interval subgraphs.
+"""Ordered intersection graphs of curve families, and their cliques.
 
 Vertices are the bottom-to-top labels 1..n of a validated family; all the
 combinatorial machinery downstream works on these labels plus the curves'
@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptySubset, InvalidFamily
+from .errors import EmptySubset, InvalidFamily, PreconditionFailed
 from .geometry import PolyCurve, candidate_pairs, crossing_points, validate_family
 
 
@@ -67,52 +68,40 @@ class OrderedGraph:
         return graph
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
-    """An index interval with open/closed ends; None means unbounded."""
-
-    lo: int | None
-    hi: int | None
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError("lo > hi")
-
-    @staticmethod
-    def closed(lo: int, hi: int) -> IntervalSpec:
-        return IntervalSpec(lo, hi, True, True)
-
-    @staticmethod
-    def open(lo: int, hi: int) -> IntervalSpec:
-        return IntervalSpec(lo, hi, False, False)
-
-    @staticmethod
-    def open_closed(lo: int, hi: int) -> IntervalSpec:
-        return IntervalSpec(lo, hi, False, True)
-
-    @staticmethod
-    def closed_open(lo: int, hi: int) -> IntervalSpec:
-        return IntervalSpec(lo, hi, True, False)
-
-    @staticmethod
-    def everything() -> IntervalSpec:
-        return IntervalSpec(None, None)
-
-    def contains(self, i: int) -> bool:
-        if self.lo is not None:
-            if i < self.lo or (i == self.lo and not self.lo_closed):
-                return False
-        if self.hi is not None:
-            if i > self.hi or (i == self.hi and not self.hi_closed):
-                return False
-        return True
+def is_clique(graph: OrderedGraph, labels: Sequence[int]) -> bool:
+    """Whether every two of the labels are adjacent."""
+    return all(graph.has_edge(a, b) for a, b in combinations(labels, 2))
 
 
-def induced_interval(graph: OrderedGraph, interval: IntervalSpec) -> OrderedGraph:
-    """Subgraph induced by the labels inside the interval, labels kept."""
-    return graph.induced(v for v in graph.vertices if interval.contains(v))
+def cliques_ascending(graph: OrderedGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-clique as a sorted label tuple, in lexicographic order.
+
+    Depth first in increasing label order on an explicit stack, so that k
+    is not bounded by the interpreter's recursion limit; a level stops
+    once fewer candidates remain than the clique still needs.  Raises
+    PreconditionFailed, on the first request, unless k >= 1.
+    """
+    if k < 1:
+        raise PreconditionFailed(f"clique size must be >= 1, got {k}")
+    adjacency = graph.adjacency
+    clique: list[int] = []
+    # levels[d] = (candidates for clique[d], index of the next to try)
+    levels = [(sorted(graph.vertices), 0)]
+    while levels:
+        order, i = levels[-1]
+        if len(order) - i < k - len(clique):
+            levels.pop()
+            if clique:
+                clique.pop()
+            continue
+        v = order[i]
+        levels[-1] = (order, i + 1)
+        clique.append(v)
+        if len(clique) == k:
+            yield tuple(clique)
+            clique.pop()
+        else:
+            levels.append(([u for u in order[i + 1 :] if u in adjacency[v]], 0))
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,7 @@ class CurveFamily:
         return c
 
     def right_end_x(self, label: int) -> Fraction:
-        return self.curve(label).right_end_x
+        return self.curve(label).x_end
 
     def labels(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))

@@ -7,7 +7,8 @@ search in label order, cliques from subset enumeration, configurations
 from full tuple enumeration.  The exact-coloring layer is also checked
 against copies of the package's earlier implementations: induced
 subgraphs by edge scan, recursive branch and bound and clique search,
-and alpha sequences that solve every block prefix afresh.
+and alpha sequences that solve every block prefix afresh.  The split of
+two-sided curves is checked against its inverse, `join_at_y_axis`.
 """
 
 from __future__ import annotations
@@ -460,3 +461,26 @@ def unshared_gap_subgraph(graph: OrderedGraph, a: int, b: int) -> OrderedGraph:
     odd_chi = recursive_chi_exact(induced_by_edge_scan(graph, odd))[0]
     winner = even if even_chi >= odd_chi else odd
     return induced_by_edge_scan(graph, winner)
+
+
+def join_at_y_axis(left_flag: PolyCurve, right_flag: PolyCurve) -> PolyCurve:
+    """Inverse of split_at_y_axis: un-mirror the left part and rejoin.
+
+    The axis vertex is kept only when it bends the polyline; a collinear
+    axis vertex was interpolated by the split and is dropped, so curves
+    whose vertex lists are canonical round-trip exactly.
+    """
+    if left_flag.vertices[0].x != 0 or right_flag.vertices[0].x != 0:
+        raise ValueError("both parts must start on the y-axis")
+    if left_flag.vertices[0].y != right_flag.vertices[0].y:
+        raise ValueError("parts do not share the axis point")
+    unmirrored = tuple(Point(-v.x, v.y) for v in reversed(left_flag.vertices))
+    joined = unmirrored + right_flag.vertices[1:]
+    k = len(unmirrored) - 1  # position of the axis vertex
+    if 0 < k < len(joined) - 1:
+        before, axis, after = joined[k - 1], joined[k], joined[k + 1]
+        if (axis.y - before.y) * (after.x - axis.x) == (after.y - axis.y) * (
+            axis.x - before.x
+        ):
+            joined = joined[:k] + joined[k + 1 :]
+    return PolyCurve(right_flag.id, joined)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from xmcurves.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +107,8 @@ def test_layers_alphaseq_shortcheck(tmp_path, capsys):
 
     code, out, _ = run(capsys, "shortcheck", "--file", path)
     assert code == 0 and out.startswith("ok checked=")
+    code, out, _ = run(capsys, "shortcheck", "--file", path, "--k", "1")
+    assert code == 0 and out == "ok checked=0\n"
 
 
 def test_keylemma_and_arcs_report(tmp_path, capsys):
@@ -180,6 +184,39 @@ def test_experiment_row_solved_by_clique_number(capsys):
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "validate", "--file", "/nonexistent/zzz.xmc")
     assert code == 1 and "error" in err
+
+
+BAD_INPUTS = [
+    ("gen", "--kind", "rays", "--n", "0"),
+    ("gen", "--kind", "rightflagpolylines", "--n", "3", "--segments", "0"),
+    ("gen", "--kind", "rays", "--n", "3", "--range", "0"),
+    ("gen", "--kind", "twosided", "--n", "3", "--range", "-5"),
+    ("experiment", "--kind", "rays", "--n", "0", "--trials", "1"),
+    ("plant", "--type", "1", "--k", "1"),
+    ("validate", "--file", "{directory}"),
+    ("validate", "--file", "{latin1}"),
+    ("shortcheck", "--file", "{family}", "--k", "-1"),
+    ("shortcheck", "--file", "{family}", "--k", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.xmc"
+    latin1.write_bytes("xmcurves 1\n# café\n".encode("latin-1"))
+    family = gen_file(tmp_path, capsys, "f.xmc", "--kind", "crossingfan", "--n", "4")
+    paths = {"directory": str(tmp_path), "latin1": str(latin1), "family": family}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_usage_error_exits_2(capsys):
+    # exit code 2 is shared by budget overruns and argparse usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["chi"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_round_trip_for_every_family_kind(tmp_path, capsys):

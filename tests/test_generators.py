@@ -4,6 +4,7 @@ import pytest
 
 from xmcurves import (
     CurveFamily,
+    PreconditionFailed,
     build_intersection_graph,
     chi_exact,
     omega_exact,
@@ -84,7 +85,24 @@ def test_rays_are_grounded_and_clipped_past_crossings():
     for i in range(1, 9):
         for j in range(i + 1, 9):
             for p in crossing_points(fam.curve(i), fam.curve(j)):
-                assert p.x < fam.curve(i).right_end_x
+                assert p.x < fam.curve(i).x_end
+
+
+def test_rays_are_permutation_graphs():
+    # every ray starts on x = 0 and ends on one vertical line, so two cross
+    # exactly when their order flips between the two: chi = omega
+    for seed in range(12):
+        fam = generate(GenSpec(kind="rays", n=6 + 2 * seed, seed=seed))
+        ends = [c.vertices[-1].y for c in fam.curves]
+        inversions = {
+            (i + 1, j + 1)
+            for i in range(fam.n)
+            for j in range(i + 1, fam.n)
+            if ends[i] > ends[j]
+        }
+        graph = build_intersection_graph(fam)
+        assert graph.edges == inversions
+        assert chi_exact(graph)[0] == omega_exact(graph)[0]
 
 
 def test_plants_verify_for_all_kinds_and_sizes():
@@ -106,6 +124,11 @@ def test_bad_specs_rejected():
         plant_configuration("type1", 1)
     with pytest.raises(ValueError):
         plant_configuration("clique", 2)
+    # typed, so the CLI reports them in one line; range below 1 is rejected
+    # up front rather than after the redraw rounds run out
+    for bad in (dict(n=0), dict(n=3, segments_per_curve=0), dict(n=3, coordinate_range=0)):
+        with pytest.raises(PreconditionFailed):
+            GenSpec(kind="rays", **bad)
 
 
 def test_ray_clip_is_one_past_the_last_crossing():

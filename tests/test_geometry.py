@@ -15,15 +15,13 @@ from xmcurves import (
     PolyCurve,
     crossing_points,
     curve,
-    join_at_y_axis,
     pair_contacts,
-    perturb_vertically,
     pt,
     split_at_y_axis,
     validate_family,
 )
 from xmcurves.geometry import candidate_pairs
-from oracles import fraction_pair_contacts, polyline_crossings, random_segment
+from oracles import fraction_pair_contacts, join_at_y_axis, polyline_crossings, random_segment
 
 # Denominators are pairwise coprime apart from 1, so that curves drawn over
 # different ones meet only at shared integer grid points.
@@ -284,11 +282,3 @@ def test_valid_families_cross_at_most_once(small_corpus):
     for fam, _ in small_corpus[:12]:
         for a, b in combinations(fam.curves, 2):
             assert len(crossing_points(a, b)) <= 1
-
-
-def test_perturb_vertically():
-    curves = [curve(1, (0, 0), (4, 0)), curve(2, (0, 0), (4, 1))]
-    fixed = perturb_vertically(curves, "1/7")
-    assert fixed[0].vertices[0] == pt(0, "1/7")
-    assert fixed[1].vertices[0] == pt(0, "2/7")
-    assert validate_family(fixed).ok

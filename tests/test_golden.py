@@ -4,9 +4,12 @@ exact-coloring subcommands on fixed generated families.  The `gen` and
 `experiment` hashes were taken from the Fraction-arithmetic geometry
 kernel, before the integer kernel and incremental redraw checks replaced
 it; the lemma hashes were taken from the exact-coloring engine that
-solved every alpha-sequence prefix and every repeated subgraph afresh.
-Any change to a generated family, a table row, a breakpoint, a chromatic
-number, a coloring or a gap subgraph changes a hash."""
+solved every alpha-sequence prefix and every repeated subgraph afresh;
+the file-subcommand and `plant` hashes were taken before the clique
+enumerators, the redraw loops and the fan builders were merged into one
+each.  Any change to a generated family, a table row, a breakpoint, a chromatic
+number, a coloring, a gap subgraph, a clique witness, a configuration, an arc
+analysis or a validation report changes a hash."""
 
 from __future__ import annotations
 
@@ -26,12 +29,18 @@ GEN_GOLDEN = [
      "f16bc23616e3165bcb090010d295523e97d7f7f00625a84e4f63ed81054c2094"),
     ("gen --kind rays --n 12 --seed 2",
      "5d0c44baa8ca14c84001114c94d72709c3aef169e89b1b6f9e14784dd17fbc8a"),
+    # the first draw of this one fails validation, so a slope is redrawn
+    ("gen --kind rays --n 60 --seed 25",
+     "4ff932acf5f8d9325aad5972447039f68d561a01fcd91e92f67e427d45b6a525"),
     ("gen --kind unitsegments --n 12 --seed 0",
      "8b65641df6139b13e229d7f017c2accee123f90818a09a675445d50026136531"),
     ("gen --kind unitsegments --n 12 --seed 1",
      "e8bdd2b44509e09ff29b9aa8c734a0385d3dd4a9f6d09135fc1dd9d0f4c9ca5a"),
     ("gen --kind unitsegments --n 12 --seed 2",
      "7dcb10c915036f63e1f81d68340bdd8445f5d3f06f4ab2525bf5fffa1b8721b3"),
+    # the first draw of this one fails validation, so a segment is redrawn
+    ("gen --kind unitsegments --n 16 --seed 8",
+     "b9ba86b9bdc1477470cb6f2d6c49d8d47accfcae70a933570251c6d5e1c4e9c7"),
     ("gen --kind rightflagpolylines --n 12 --segments 3 --seed 0",
      "5576b5ddafaf6b573d650a2bf3fc31cc160a051b90097cd9ac84ec7acc940629"),
     ("gen --kind rightflagpolylines --n 12 --segments 3 --seed 1",
@@ -75,13 +84,28 @@ EXPERIMENT_GOLDEN = [
      "0aa4011c493c26589e8febfd9e3dfd47d396bacc9d266968fbc5238d5cc21b65"),
 ]
 
-# Lemma and exact-coloring subcommands, run with `--file` on the stdout
-# of a `gen` invocation (the family named by the first field).
-LEMMA_FAMILIES = {
+PLANT_GOLDEN = [
+    ("plant --type 1 --k 3 --seed 0",
+     "735144dcc1d06ba75106851ec58c16f581abfb7264eff154f176e4ad5aff1726"),
+    ("plant --type 2 --k 2 --seed 1",
+     "429dd4fc39c150c7ea04225352022286d64638fbc27991005bfb55fe1b9c00c6"),
+    ("plant --type 3 --k 3 --seed 2",
+     "2905ddf00c0fe942aa6ad474e8facf97e93a3324b3c7e38eeb84525dee87f81c"),
+]
+
+# File subcommands, run with `--file` on the stdout of a `gen` invocation
+# (the family named by the first field).
+FAMILIES = {
     "rfp30": "gen --kind rightflagpolylines --n 30 --segments 2 --seed 4",
     "rfp40": "gen --kind rightflagpolylines --n 40 --seed 9",
     "rays20": "gen --kind rays --n 20 --seed 0",
     "unit30": "gen --kind unitsegments --n 30 --seed 0",
+    "rfp12": "gen --kind rightflagpolylines --n 12 --segments 3 --seed 0",
+    "rfp20": "gen --kind rightflagpolylines --n 20 --seed 3",
+    "rays12": "gen --kind rays --n 12 --seed 1",
+    "unit12": "gen --kind unitsegments --n 12 --seed 0",
+    "plant3": "gen --kind plant_type3 --n 1 --k 3 --seed 0",
+    "two8": "gen --kind twosided --n 8 --segments 2 --seed 0",
 }
 
 LEMMA_GOLDEN = [
@@ -144,11 +168,94 @@ LEMMA_GOLDEN = [
 ]
 
 
+# Every other file subcommand: (family, argv, exit code, digest).
+FILE_GOLDEN = [
+    ("rfp12", "validate", 0,
+     "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22"),
+    ("two8", "validate", 1,
+     "ffe7845b9ff643ea366de49bb0da1ac2ff1b39ee8cb46611820a20644fe83756"),
+    ("rfp20", "graph --format adj", 0,
+     "52f9aae486f0816786f84a953d1f44ca87e3194d5d3ec05f7698604171b53008"),
+    ("rfp20", "graph --format dot", 0,
+     "4fe5c4cadd24e97cb24f29270fa54638c13f8d21714279ffe5293b20837944a6"),
+    ("rays12", "graph --format adj", 0,
+     "41448a0f13b484da389e2f5e491322a19dc0f75907cebaeca3cf01860921bfaf"),
+    ("rays12", "graph --format dot", 0,
+     "0325764feb9457b4657e19a93931afb960d86859a8af32ddf20409c9112e73af"),
+    ("unit12", "omega", 0,
+     "a56a6af685370089b95d421b3cfc2382f999fa8f3a69aafc218fa481c4454d9d"),
+    ("rays12", "omega", 0,
+     "0acd478db1dc0c96a7516449c4a59485da710cb80c6cabee7cbc6ae974b83931"),
+    ("rfp20", "omega", 0,
+     "974c186d233834b9b898d885fe420eb8bcfb53e9a5d2776e6644ada4c0d276cc"),
+    ("unit12", "keylemma --a 5 --b 9 --k 2", 0,
+     "4ee3612cae368543d349639162d2c4f6df9634b24a883c65f12c7b382e7345a0"),
+    ("rfp12", "keylemma --a 5 --b 10 --k 2", 0,
+     "145f029179442b995f44d1cac6c0dfc17c46bdb8753c83c80610d802d3d309d7"),
+    ("rfp20", "keylemma --a 10 --b 20 --k 2", 0,
+     "8390599e41b0444313eb8632a205f0a58aef1262ed990b0f8b342648e12672f3"),
+    ("rfp20", "keylemma --a 4 --b 9 --k 2", 0,
+     "1747bb94a3bc7e1acf2bb987080e4760e5cffcab302561543b3d3387036c8144"),
+    ("unit12", "arcs --a 1 --b 6 --side a", 0,
+     "d18bb8a93999fd0e08e7dae7efbeeb6368183aea374e931051db8ad73685c01c"),
+    ("unit12", "arcs --a 1 --b 6 --side b", 0,
+     "b2aa5c559d5c3a008cbbb1c0f0e93834598b17cf54133548f3e85208308bf195"),
+    ("rfp20", "arcs --a 10 --b 20 --side a", 0,
+     "56388cd2d94047c3c30b45d4a733c4e6833c22e860f8660406512478b9722e34"),
+    ("rfp20", "arcs --a 10 --b 20 --side b", 0,
+     "42eac7a9458655f51ce4b4e6fe571f1e5e653ef3948100be1f8d04c9945a5452"),
+    ("rfp20", "arcs --a 4 --b 9 --side a", 0,
+     "e416c6dc7241cce0004b424f601ff888b5032182c15c2aa1505d743d39a5ab52"),
+    ("rfp20", "arcs --a 4 --b 9 --side b", 0,
+     "ec779bf16a14e2b3677090b74a6e417ef49608a9b24161371b3cdb8bf967a8ab"),
+    ("unit12", "detect --type 1 --k 2", 0,
+     "189f61e7554efdf27b4d699cdc126b126509e19cf9126557570e71b7754fc171"),
+    ("unit12", "detect --type 2 --k 2", 0,
+     "2ab1400e568c7adf216b3d4f76272b97961753cb9dfe7bcb831e4c28e08208b4"),
+    ("unit12", "detect --type 3 --k 2", 0,
+     "75616dc61dfb89f3998712fbc35656a0bc1f46b7c4ec243ca0704c5e071030e7"),
+    ("unit12", "detect --type clique --k 3", 0,
+     "0ad0b3b91a9e3ac6e5b76c284b339d285dfaee29416930789357045d26a2fdee"),
+    ("rays12", "detect --type 3 --k 2", 0,
+     "1b139e803552bc1fc060829d6cc033e5154e40693abd98965d612edeae3a980f"),
+    ("rays12", "detect --type clique --k 4", 0,
+     "487902ff897ccc1eb91894140ede8b80b8984bc9e168d1aee62bfaccfc2cecc0"),
+    ("rfp20", "detect --type 1 --k 2", 0,
+     "bf115e724b69ac0593b6b198b8d152f4dfcb3982879f19f100d9276e59cfc479"),
+    ("rfp20", "detect --type 2 --k 2", 0,
+     "54c39692739add1e7fcafdea2c48b4c2d4d5c94caea2f9e50862105cd89d6f93"),
+    ("rfp20", "detect --type 3 --k 2", 0,
+     "488a853c66b9d55e6f039191c17ab7ed6b46a3c6b4517e9f209d73587e024a03"),
+    ("rfp20", "detect --type 1 --k 3", 0,
+     "f3b2fbc65c3370ff178f4907c1d9803f9c7e703bc3868c8fc1501537a34466d8"),
+    ("rfp20", "detect --type 2 --k 3", 0,
+     "a196e6d7a68b8b8db7fc0ddf5e41ce3ce367b5083d730ff0cd25a468b5b8de32"),
+    ("rfp20", "detect --type 3 --k 3", 0,
+     "789b1b96a06c7823087ee285c98aac6dbe289027113b0782e8e80653493a7ec0"),
+    ("rfp20", "detect --type clique --k 4", 0,
+     "02060c3b9211122561fa9a9d860d60c5f329bc65b3a6e98081bfea0c419673f4"),
+    ("plant3", "detect --type 3 --k 3", 0,
+     "7a4142325c11ad8faf55ba5ab248a377b80ddaaee27cd42630bc58fda48c5647"),
+    ("plant3", "detect --type 2 --k 3", 0,
+     "8bfbf54496a9857dca9e63751a07b9b689de4be69cacfbee80f92a26fd83c7d8"),
+    ("rfp20", "shortcheck", 0,
+     "8f49cc5c8d578a403dd889654d92a0c536a3b380366255390e0f439bec542a01"),
+    ("rfp20", "shortcheck --k 3", 0,
+     "e83a4e5c04a59d054ccf5dbcef93ba30be7b654fa23b30763936ae10d258864b"),
+    ("rfp20", "shortcheck --k 2", 0,
+     "11211a5e907ed7873ffee1800b38369ee941f84c0894397127aca1e24c30bcf0"),
+    ("unit12", "shortcheck", 0,
+     "b30f75e914c919ac741ef18babf3c503897e7a86c2955eca2d00bd4b1ac1e4b0"),
+    ("two8", "split", 0,
+     "c97a76bbc398d55e871b431bed226adaaf210a5b36453a13bf796de78d9f9810"),
+]
+
+
 def test_every_generator_kind_is_pinned():
     assert {argv.split()[2] for argv, _ in GEN_GOLDEN} == set(GEN_KINDS)
 
 
-@pytest.mark.parametrize("argv, digest", GEN_GOLDEN + EXPERIMENT_GOLDEN)
+@pytest.mark.parametrize("argv, digest", GEN_GOLDEN + EXPERIMENT_GOLDEN + PLANT_GOLDEN)
 def test_stdout_matches_golden_hash(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
@@ -157,9 +264,9 @@ def test_stdout_matches_golden_hash(capsys, argv, digest):
 
 @pytest.fixture(scope="module")
 def family_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("lemma-families")
+    root = tmp_path_factory.mktemp("families")
     paths = {}
-    for name, argv in LEMMA_FAMILIES.items():
+    for name, argv in FAMILIES.items():
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             assert main(argv.split()) == 0
@@ -172,5 +279,13 @@ def family_files(tmp_path_factory):
 def test_lemma_stdout_matches_golden_hash(capsys, family_files, family, argv, digest):
     command, *options = argv.split()
     assert main([command, "--file", str(family_files[family]), *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, argv, code, digest", FILE_GOLDEN)
+def test_file_stdout_matches_golden_hash(capsys, family_files, family, argv, code, digest):
+    command, *options = argv.split()
+    assert main([command, "--file", str(family_files[family]), *options]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

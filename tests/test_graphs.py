@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,16 +10,14 @@ from hypothesis import strategies as st
 
 from xmcurves import (
     EmptySubset,
-    IntervalSpec,
     OrderedGraph,
     build_intersection_graph,
     curve,
-    induced_interval,
     intersection_graph_of_curves,
     min_right_end_x,
 )
 from xmcurves.generators import GenSpec, generate
-from xmcurves.graphs import adjacency_lines, to_dot
+from xmcurves.graphs import adjacency_lines, cliques_ascending, is_clique, to_dot
 from conftest import five_curve_family
 from oracles import induced_by_edge_scan, polyline_family_edges
 
@@ -65,9 +65,9 @@ def test_relabeling_is_order_respecting(small_corpus):
 
 def test_induced_interval_examples():
     k5 = complete_graph(5)
-    assert induced_interval(k5, IntervalSpec.closed(1, 5)) == k5
-    assert induced_interval(k5, IntervalSpec.open(3, 4)).n == 0
-    sub = induced_interval(k5, IntervalSpec.open_closed(1, 4))
+    assert k5.induced(range(1, 6)) == k5
+    assert k5.induced(range(4, 4)).n == 0
+    sub = k5.induced(range(2, 5))
     assert sub.vertices == (2, 3, 4)
     assert sub.edges == frozenset({(2, 3), (2, 4), (3, 4)})
 
@@ -86,10 +86,8 @@ def test_nested_intervals_nest(lo, hi, lo2, hi2, seed):
         range(1, 13),
         [(i, j) for i in range(1, 13) for j in range(i + 1, 13) if rng.randrange(3) == 0],
     )
-    inner = IntervalSpec.closed(max(lo, lo2), min(hi, hi2))
-    outer = IntervalSpec.closed(min(lo, lo2), max(hi, hi2))
-    gi = induced_interval(g, inner)
-    go = induced_interval(g, outer)
+    gi = g.induced(range(max(lo, lo2), min(hi, hi2) + 1))
+    go = g.induced(range(min(lo, lo2), max(hi, hi2) + 1))
     assert set(gi.vertices) <= set(go.vertices)
     assert gi.edges == go.induced(gi.vertices).edges
 
@@ -173,4 +171,29 @@ def test_induced_matches_edge_scan(graph, labels):
     assert sub.vertices == want.vertices and sub.edges == want.edges
     assert sub.adjacency == want.adjacency
     assert sub.induced(iter(labels)) == sub
+
+
+@given(graph=labeled_graphs(), k=st.integers(1, 5))
+@example(graph=complete_graph(0), k=1)
+@example(graph=complete_graph(5), k=5)
+@settings(max_examples=150, deadline=None)
+def test_cliques_ascending_matches_subset_filter(graph, k):
+    subsets = list(combinations(graph.vertices, k))
+    want = [s for s in subsets if all(graph.has_edge(a, b) for a, b in combinations(s, 2))]
+    assert list(cliques_ascending(graph, k)) == want
+    assert [s for s in subsets if is_clique(graph, s)] == want
+
+
+def test_cliques_ascending_needs_no_recursion():
+    n = 150
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)  # far fewer frames than clique vertices
+    try:
+        cliques = list(cliques_ascending(complete_graph(n), n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == [tuple(range(1, n + 1))]
 
