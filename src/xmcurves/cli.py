@@ -3,7 +3,9 @@ detection, generation, and experiment tables.
 
 Exit codes: 0 success, 1 validation or precondition failure or an
 unreadable input file (the message names the violated condition), 2
-resource budget exceeded or a usage error that argparse reports.
+resource budget exceeded or a usage error that argparse reports.  A
+closed stdout (a broken pipe) ends a command with exit 1 and one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ def cmd_alphaseq(args) -> int:
     print(f"alpha {seq.alpha}")
     print("breakpoints " + " ".join(str(r) for r in seq.breakpoints))
     for t, block in enumerate(seq.block_labels(graph)):
-        value = chi_exact(graph.induced(block), args.budget)[0]
-        print(f"block {t} : " + " ".join(str(v) for v in block) + f" chi={value}")
+        chi = seq.colorings[t].num_colors
+        print(f"block {t} : " + " ".join(str(v) for v in block) + f" chi={chi}")
     return 0
 
 

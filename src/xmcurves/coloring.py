@@ -5,7 +5,7 @@ Everything is deterministic: identical inputs give identical outputs,
 including tie-breaks (lexicographically least witnesses, fixed vertex
 orders).  The exact solver is branch-and-bound seeded with a clique lower
 bound and a DSATUR upper bound; all callers in this package stay at desk
-scale (n <= 64 by default).
+scale (a search without a budget is capped at n <= 64).
 """
 
 from __future__ import annotations
@@ -135,18 +135,12 @@ def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Colo
     across components).  Each component runs branch and bound over
     k-colorability, seeded with the DSATUR upper bound and the clique
     number as lower bound (a greedy clique when that meets DSATUR
-    already).  `budget` is a search-node limit; passing one also lifts
-    the default n <= 64 cap.  Raises BudgetExceeded so callers can fall
-    back to heuristics.
+    already).  `budget` is a search-node limit; without one, a component
+    that the greedy clique does not certify must have n <= 64.  Raises
+    BudgetExceeded so callers can fall back to heuristics.
     """
     if graph.n == 0:
         return 0, Coloring({}, 0)
-    if budget is None:
-        if graph.n > DEFAULT_VERTEX_CAP:
-            raise BudgetExceeded(
-                f"n={graph.n} exceeds default cap {DEFAULT_VERTEX_CAP}; pass a budget"
-            )
-        budget = DEFAULT_NODE_BUDGET
     if not graph.edges:
         # what the component path returns: every singleton colored 1
         return 1, Coloring(dict.fromkeys(graph.vertices, 1), 1)
@@ -163,11 +157,17 @@ def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Colo
     return _chi_exact_connected(graph, budget)
 
 
-def _chi_exact_connected(graph: OrderedGraph, budget: int) -> tuple[int, Coloring]:
+def _chi_exact_connected(graph: OrderedGraph, budget: int | None) -> tuple[int, Coloring]:
     ub, ub_coloring = chi_heuristic(graph, "dsatur")
     clique = _greedy_clique(graph)
     lb = max(1, len(clique))
     if lb < ub:
+        if budget is None:
+            if graph.n > DEFAULT_VERTEX_CAP:
+                raise BudgetExceeded(
+                    f"n={graph.n} exceeds default cap {DEFAULT_VERTEX_CAP}; pass a budget"
+                )
+            budget = DEFAULT_NODE_BUDGET
         # searches for k below the clique number can only fail
         lb = omega_exact(graph)[0]
     if lb == ub:

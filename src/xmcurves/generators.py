@@ -3,9 +3,7 @@
 All coordinates are exact rationals built from integer draws of a seeded
 PRNG; no floating point enters generation, so equal specs give byte-equal
 families.  Generators retry by redrawing only offending curves (bounded,
-seeded) until the family validates.  A re-check tests again only the
-pairs that involve a new curve object; for rays, whose clip moves with
-every slope, that is every pair.
+seeded) until the family validates.
 
 Model notes: every one-sided family is grounded on the y-axis, because
 family validation requires right flags.  Rays are grounded rays clipped
@@ -86,10 +84,9 @@ def _redraw_loop(build, redraw) -> CurveFamily:
     """Validate build(), curves with ids 1..n bottom to top, until it
     passes; after a failed round call redraw(cid, damp) for every
     offender, with damp shrinking so that dense instances converge."""
-    report = None
     for round_no in range(MAX_REDRAW_ROUNDS):
         curves = build()
-        report = validate_family(curves, report)
+        report = validate_family(curves)
         if report.ok:
             return _family(curves, report)
         damp = Fraction(1, 1 + round_no)
@@ -216,10 +213,9 @@ def _gen_two_sided(
     # result is the unsplit list rather than a family
     curves = [make(i) for i in range(1, n + 1)]
     halves = [split_at_y_axis(c) for c in curves]
-    left_report = right_report = None
     for round_no in range(MAX_REDRAW_ROUNDS):
-        left_report = validate_family([h[0] for h in halves], left_report)
-        right_report = validate_family([h[1] for h in halves], right_report)
+        left_report = validate_family([h[0] for h in halves])
+        right_report = validate_family([h[1] for h in halves])
         offenders = sorted({*_offenders(left_report), *_offenders(right_report)})
         if not offenders:
             return curves

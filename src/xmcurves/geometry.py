@@ -15,7 +15,7 @@ as a general-position defect and surfaces in a ValidationReport instead.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -163,16 +163,10 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Defects of a curve list, plus the id pairs that cross (`edges`).
-
-    `contacts` keeps the contact of every pair that was tested, keyed by
-    the identities of its two curve objects, so that a later
-    validate_family on an edited list can reuse it.
-    """
+    """Defects of a curve list, plus the id pairs that cross (`edges`)."""
 
     violations: tuple[Violation, ...]
     edges: frozenset[tuple[int, int]] = frozenset()
-    contacts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -343,9 +337,7 @@ def candidate_pairs(curves: Sequence[PolyCurve]) -> Iterator[tuple[PolyCurve, Po
             yield curves[i], curves[k]
 
 
-def validate_family(
-    curves: Sequence[PolyCurve], previous: ValidationReport | None = None
-) -> ValidationReport:
+def validate_family(curves: Sequence[PolyCurve]) -> ValidationReport:
     """Check the simple right-flag family discipline and report defects.
 
     ok means: every curve is a strictly x-monotone right-flag polyline,
@@ -354,11 +346,6 @@ def validate_family(
     endpoint lies on another curve, no crossing sits on a polyline
     vertex, and no three curves pass through one point.  The report's
     `edges` are the id pairs that cross, valid family or not.
-
-    `previous` is a report on an earlier version of the list: a pair of
-    the very same curve objects takes its contact from there instead of
-    testing it again, so a caller that replaces a few curves re-tests
-    only the pairs that involve them.  The report is the same either way.
     """
     violations: list[Violation] = []
     usable: list[PolyCurve] = []
@@ -382,19 +369,12 @@ def validate_family(
     for y0, ids in shared:
         violations.append(Violation("SharedIntercept", tuple(sorted(ids)), Point(Fraction(0), y0)))
 
-    # Keys are object identities; each entry holds its two curves, so no
-    # key can be reused by another object while its report is alive.
-    known = previous.contacts if previous is not None else {}
-    contacts: dict[tuple[int, int], tuple[PolyCurve, PolyCurve, PairContact]] = {}
     edges: set[tuple[int, int]] = set()
     # crossing points keyed by their coordinates' integer parts, which
     # hash faster than the Fractions
     point_to_curves: dict[tuple[int, int, int, int], tuple[Point, set[int]]] = {}
     for ca, cb in candidate_pairs(usable):
-        key = (id(ca), id(cb))
-        entry = known.get(key)
-        contact = entry[2] if entry is not None else pair_contacts(ca, cb)
-        contacts[key] = (ca, cb, contact)
+        contact = pair_contacts(ca, cb)
         if contact is _NO_CONTACT:
             continue
         pair = (ca.id, cb.id) if ca.id < cb.id else (cb.id, ca.id)
@@ -419,7 +399,7 @@ def validate_family(
     for p, ids in sorted(crowded, key=lambda pi: (pi[0].x, pi[0].y)):
         violations.append(Violation("OverlapOrDegenerate", tuple(sorted(ids)), p))
 
-    return ValidationReport(tuple(violations), frozenset(edges), contacts)
+    return ValidationReport(tuple(violations), frozenset(edges))
 
 
 def split_at_y_axis(c: PolyCurve) -> tuple[PolyCurve, PolyCurve]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .coloring import ChainPartition, Coloring, chi_exact, dilworth_chain_partition
 from .errors import KTooSmall, NotCrossing, PreconditionFailed
@@ -99,10 +98,12 @@ class AlphaSequence:
     blocks: the first block is [r_0, r_1], later ones (r_i, r_{i+1}].
     Interior blocks have chromatic number exactly alpha, the final one at
     most alpha.  r_0 == r_1 happens when the first block is a single
-    vertex; all later breakpoints strictly increase."""
+    vertex; all later breakpoints strictly increase.  colorings[t] is
+    chi_exact's coloring of block t."""
 
     alpha: int
     breakpoints: tuple[int, ...]
+    colorings: tuple[Coloring, ...]
 
     @property
     def m(self) -> int:
@@ -130,14 +131,6 @@ def alpha_sequence(
     one vertex raises the block's chromatic number by at most one.  If
     the whole graph colors with fewer than alpha colors the result is a
     single block (m = 1).
-    """
-    return _alpha_sequence(graph, alpha, budget, {})
-
-
-def _alpha_sequence(
-    graph: OrderedGraph, alpha: int, budget: int | None, memo: dict
-) -> AlphaSequence:
-    """alpha_sequence, solving through the caller's chi memo.
 
     Each block grows one label at a time next to a proper coloring of it
     with fewer than alpha colors.  The new label takes its least free
@@ -145,7 +138,8 @@ def _alpha_sequence(
     no search.  Otherwise the block is solved exactly: chi of a growing
     prefix never drops and rises by at most one per label, so a value of
     alpha makes this label the least breakpoint, and a lower value comes
-    with an exact coloring to extend further.
+    with an exact coloring to extend.  The final block is solved once it
+    is complete.
     """
     if alpha < 1:
         raise PreconditionFailed(f"alpha must be >= 1, got {alpha}")
@@ -156,6 +150,7 @@ def _alpha_sequence(
     breakpoints = [labels[0]]
     start = 0  # labels[start:] not yet covered by a finished block
     colors: dict[int, int] = {}  # the open block, with fewer than alpha colors
+    colorings: list[Coloring] = []
     for idx, v in enumerate(labels):
         used = {colors[u] for u in adjacency[v] if u in colors}
         c = 1
@@ -164,9 +159,10 @@ def _alpha_sequence(
         if c < alpha:
             colors[v] = c
             continue
-        value, coloring = _memo_chi(memo, graph, labels[start : idx + 1], budget)
+        value, coloring = chi_exact(graph.induced(labels[start : idx + 1]), budget)
         if value == alpha:
             breakpoints.append(v)
+            colorings.append(coloring)
             start = idx + 1
             colors = {}
         else:
@@ -174,19 +170,8 @@ def _alpha_sequence(
     if start < len(labels):
         # the last block colors with fewer than alpha colors
         breakpoints.append(labels[-1])
-    return AlphaSequence(alpha, tuple(breakpoints))
-
-
-def _memo_chi(
-    memo: dict, graph: OrderedGraph, labels: Iterable[int], budget: int | None
-) -> tuple[int, Coloring]:
-    """chi_exact of the subgraph induced by the labels, which all lie in
-    the graph, solved once per vertex set: equal vertex sets of one
-    parent induce equal graphs, and chi_exact is deterministic."""
-    key = tuple(sorted(labels))
-    if key not in memo:
-        memo[key] = chi_exact(graph.induced(key), budget)
-    return memo[key]
+        colorings.append(chi_exact(graph.induced(labels[start:]), budget)[1])
+    return AlphaSequence(alpha, tuple(breakpoints), tuple(colorings))
 
 
 def extract_gap_subgraph(
@@ -201,37 +186,32 @@ def extract_gap_subgraph(
     union with the larger chromatic number (even wins ties).  Every edge
     uv of the result then has chi(graph restricted to labels strictly
     between u and v) >= 2**b, because a full interior block separates
-    their blocks.  Each vertex set is solved once per call.
+    their blocks.  The block colorings are the alpha sequence's own, and
+    a lone color class is chosen without solving it.
     """
     if a < 0 or b < 0:
         raise PreconditionFailed("gap exponents must be nonnegative")
     need = 2 ** (a + b + 1)
-    memo = {graph.vertices: chi_exact(graph, budget)}
-    if memo[graph.vertices][0] <= need:
+    if chi_exact(graph, budget)[0] <= need:
         raise PreconditionFailed(f"chi(graph) must exceed {need}")
 
-    seq = _alpha_sequence(graph, 2**b, budget, memo)
-    blocks = seq.block_labels(graph)
-
+    seq = alpha_sequence(graph, 2**b, budget)
     class_members: dict[int, list[int]] = {}
     block_index: dict[int, int] = {}
-    for t, members in enumerate(blocks):
-        _, coloring = _memo_chi(memo, graph, members, budget)
+    for t, (members, coloring) in enumerate(zip(seq.block_labels(graph), seq.colorings)):
         for v in members:
             class_members.setdefault(coloring.assignment[v], []).append(v)
             block_index[v] = t
 
-    best_color, best_chi = None, -1
-    for color in sorted(class_members):
-        value = _memo_chi(memo, graph, class_members[color], budget)[0]
-        if value > best_chi:
-            best_color, best_chi = color, value
-    chosen = class_members[best_color]
+    classes = [class_members[color] for color in sorted(class_members)]
+    chosen = classes[0]  # a lone class wins unsolved
+    if len(classes) > 1:
+        chosen = max(classes, key=lambda cls: chi_exact(graph.induced(cls), budget)[0])
 
     even = [v for v in chosen if block_index[v] % 2 == 0]
     odd = [v for v in chosen if block_index[v] % 2 == 1]
-    even_chi = _memo_chi(memo, graph, even, budget)[0]
-    odd_chi = _memo_chi(memo, graph, odd, budget)[0]
+    even_chi = chi_exact(graph.induced(even), budget)[0]
+    odd_chi = chi_exact(graph.induced(odd), budget)[0]
     winner = even if even_chi >= odd_chi else odd
     return graph.induced(winner)
 

@@ -438,7 +438,7 @@ def unshared_gap_subgraph(graph: OrderedGraph, a: int, b: int) -> OrderedGraph:
     if recursive_chi_exact(graph)[0] <= need:
         raise PreconditionFailed(f"chi(graph) must exceed {need}")
 
-    blocks = AlphaSequence(2**b, prefix_alpha_sequence(graph, 2**b)).block_labels(graph)
+    blocks = AlphaSequence(2**b, prefix_alpha_sequence(graph, 2**b), ()).block_labels(graph)
 
     class_members: dict[int, list[int]] = {}
     block_index: dict[int, int] = {}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -179,6 +182,131 @@ def test_experiment_row_solved_by_clique_number(capsys):
     row = out.splitlines()[1].split("\t")
     assert row[:4] == ["0", "40", "rightflagpolylines", "9"]
     assert row[4:7] == ["7", "7", "7"]
+
+
+def anchored_family_text():
+    """Two crossing anchors and 100 short horizontals, each crossing one
+    anchor: a tree on 102 vertices, so omega = DSATUR = 2 certifies chi."""
+    lines = ["xmcurves 1", "curve 1 : 0,0 200,200", "curve 2 : 0,201 200,1"]
+    for y in [*range(1, 51), *range(151, 201)]:
+        end = y if y < 100 else 201 - y
+        lines.append(f"curve {len(lines)} : 0,{y} {2 * end + 1}/2,{y}")
+    return "\n".join(lines) + "\n"
+
+
+def test_vertex_cap_limits_the_search_not_the_input(tmp_path, capsys):
+    path = tmp_path / "anchored.xmc"
+    path.write_text(anchored_family_text(), encoding="utf-8")
+    code, out, err = run(capsys, "chi", "--file", str(path))
+    assert code == 0 and out.splitlines()[0] == "chi 2", err
+    # the block after breakpoint 2 has 100 vertices
+    code, out, err = run(capsys, "alphaseq", "--alpha", "2", "--file", str(path))
+    assert code == 0 and out.splitlines()[1] == "breakpoints 1 2 102", err
+
+
+def test_alphaseq_budget_overrun_prints_nothing(tmp_path, capsys):
+    # alpha 21 > n: one final block, certified by first fit; its exact
+    # solve (omega 4 < DSATUR 5) runs past the budget before any output
+    path = gen_file(
+        tmp_path, capsys, "f.xmc", "--kind", "rightflagpolylines", "--n", "20", "--seed", "12"
+    )
+    code, out, err = run(capsys, "alphaseq", "--alpha", "21", "--budget", "1", "--file", path)
+    assert code == 2 and out == "" and "budget" in err
+
+
+class ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys, "fan.xmc", "--kind", "crossingfan", "--n", "5")
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    code = main(["chi", "--dsatur", "--file", path])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _mutate(rng, text):
+    lines = text.splitlines()
+    op = rng.randrange(6)
+    if op == 0:  # one character replaced
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice("0123456789/-+,: #\nx") + text[i + 1 :]
+    if op == 1:  # a span deleted
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + rng.randrange(1, 12) :]
+    if op == 2:  # a line duplicated, or two lines swapped
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if rng.randrange(2):
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines) + "\n"
+    if op == 3:  # one number moved by one, or replaced by an extreme one
+        m = rng.choice(list(re.finditer(r"-?[0-9]+", text)))
+        extremes = ["0", "-0", "0/1", "1/0", "9" * 32, "1/" + "7" * 32]
+        new = rng.choice([str(int(m.group()) + 1), str(int(m.group()) - 1), *extremes])
+        return text[: m.start()] + new + text[m.end() :]
+    if op == 4:  # truncated
+        return text[: rng.randrange(len(text))]
+    i = rng.randrange(len(lines))  # a vertex copied onto its neighbour
+    parts = lines[i].split()
+    if len(parts) > 4:
+        k = rng.randrange(3, len(parts) - 1)
+        parts[k + 1] = parts[k]
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+FILE_COMMANDS = [
+    ("validate",),
+    ("graph",),
+    ("chi", "--budget", "10000"),
+    ("chi", "--dsatur"),
+    ("omega",),
+    ("layers", "--source", "2", "--budget", "10000"),
+    ("alphaseq", "--alpha", "2", "--budget", "10000"),
+    ("gapsub", "--a", "0", "--b", "0", "--budget", "10000"),
+    ("keylemma", "--a", "1", "--b", "4", "--k", "2", "--budget", "10000"),
+    ("arcs", "--a", "1", "--b", "4", "--budget", "10000"),
+    ("detect", "--type", "1", "--k", "2"),
+    ("shortcheck",),
+    ("split",),
+]
+
+
+def test_mutated_files_end_in_an_exit_code(tmp_path, capsys):
+    seeds = [
+        ("rightflagpolylines", "--n", "6", "--segments", "2"),
+        ("unitsegments", "--n", "7"),
+        ("rays", "--n", "6"),
+        ("plant_type3", "--n", "5", "--k", "2"),
+        ("crossingfan", "--n", "5"),
+        ("twosided", "--n", "4", "--segments", "2"),
+    ]
+    bases = []
+    for kind, *options in seeds:
+        assert main(["gen", "--kind", kind, *options]) == 0
+        bases.append(capsys.readouterr().out)
+    rng = random.Random(7)
+    path = tmp_path / "mutant.xmc"
+    for _ in range(200):
+        text = _mutate(rng, rng.choice(bases))
+        path.write_text(text, encoding="utf-8")
+        for command in FILE_COMMANDS:
+            argv = [*command, "--file", str(path)]
+            results = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        code = main(argv)
+                    except Exception as exc:  # report the input with the failure
+                        pytest.fail(f"{argv[0]} raised {exc!r} on:\n{text}")
+                results.append((code, out.getvalue()))
+            assert results[0] == results[1] and results[0][0] in (0, 1, 2), (argv[0], text)
 
 
 def test_missing_file_exits_1(capsys):

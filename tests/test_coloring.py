@@ -60,10 +60,12 @@ def test_chi_exact_matches_brute_force():
 def test_chi_exact_budget():
     with pytest.raises(BudgetExceeded):
         chi_exact(cycle(5), budget=1)
-    big = OrderedGraph.from_edges(range(1, 70), [])
-    with pytest.raises(BudgetExceeded):
+    # the greedy clique (2) does not certify an odd cycle (3), so without
+    # a budget its search is capped at n <= 64
+    big = cycle(69)
+    with pytest.raises(BudgetExceeded, match="exceeds default cap"):
         chi_exact(big)
-    assert chi_exact(big, budget=10)[0] == 1  # explicit budget lifts the cap
+    assert chi_exact(big, budget=10**4)[0] == 3  # explicit budget lifts the cap
 
 
 def test_heuristics():
@@ -178,10 +180,10 @@ def test_edgeless_chi_exact_colors_everything_one():
         want = recursive_chi_exact(g)  # the component-by-component answer
         assert chi_exact(g) == want == (1, Coloring(dict.fromkeys(labels, 1), 1))
         assert chi_exact(g, budget=1) == want
+    # certified without a search, so the n <= 64 cap does not apply
     big = edgeless(range(1, 66))
-    with pytest.raises(BudgetExceeded, match="exceeds default cap"):
-        chi_exact(big)
-    assert chi_exact(big, budget=1) == (1, Coloring(dict.fromkeys(range(1, 66), 1), 1))
+    want = (1, Coloring(dict.fromkeys(range(1, 66), 1), 1))
+    assert chi_exact(big) == chi_exact(big, budget=1) == want
 
 
 def test_long_odd_cycle_needs_no_recursion():

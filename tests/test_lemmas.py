@@ -25,12 +25,14 @@ from xmcurves import (
 )
 from xmcurves.coloring import arc_intersection_graph, omega_exact
 from xmcurves.geometry import crossing_points
-from xmcurves.lemmas import _memo_chi, decomposition_report
+from xmcurves.lemmas import decomposition_report
 from conftest import five_curve_family, ladder_arc_family
 from oracles import (
+    induced_by_edge_scan,
     prefix_alpha_sequence,
     random_connected_graph,
     random_graph,
+    recursive_chi_exact,
     unshared_gap_subgraph,
 )
 
@@ -357,6 +359,20 @@ def test_alpha_sequence_matches_prefix_solves(g, alpha):
     assert alpha_sequence(g, alpha).breakpoints == prefix_alpha_sequence(g, alpha)
 
 
+@given(g=lemma_graphs(), alpha=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_alpha_sequence_colors_each_block_with_chi_colors(g, alpha):
+    seq = alpha_sequence(g, alpha)
+    blocks = seq.block_labels(g)
+    assert len(seq.colorings) == len(blocks)
+    for t, (block, coloring) in enumerate(zip(blocks, seq.colorings)):
+        chi = recursive_chi_exact(induced_by_edge_scan(g, block))[0]
+        assert coloring.is_proper(g.induced(block))
+        assert coloring.num_colors == len(set(coloring.assignment.values())) == chi
+        if t < len(blocks) - 1:
+            assert chi == alpha
+
+
 @given(g=lemma_graphs(), a=st.integers(0, 1), b=st.integers(0, 1))
 @settings(max_examples=100, deadline=None)
 def test_gap_subgraph_matches_unshared_solves(g, a, b):
@@ -377,14 +393,3 @@ def test_gap_subgraph_matches_unshared_solves_on_criterion_graphs():
             g = blocky_graph(rng, [need + 1 + rng.randrange(2) for _ in range(3)], 3)
             if chi_exact(g)[0] > need:
                 assert extract_gap_subgraph(g, a, b) == unshared_gap_subgraph(g, a, b)
-
-
-def test_chi_memo_returns_a_fresh_solve():
-    rng = random.Random(17)
-    g = blocky_graph(rng, [4, 5, 4], bridge_percent=15)
-    memo: dict = {}
-    for labels in ([1, 2, 3, 4, 5], range(3, 11), [13, 2, 8, 6], [1, 2, 3, 4, 5], range(1, 14)):
-        fresh = chi_exact(g.induced(labels))
-        assert _memo_chi(memo, g, labels, None) == fresh
-        assert _memo_chi(memo, g, labels, None) == fresh  # now from the memo
-    assert len(memo) == 4
