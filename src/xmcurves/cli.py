@@ -11,34 +11,34 @@ closed stdout (a broken pipe) ends a command with exit 1 and one
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
-import time
-from dataclasses import dataclass
-from pathlib import Path
 
-from . import configurations, fileformat, generators, lemmas
-from .coloring import chi_exact, chi_heuristic, omega_exact
 from .errors import BudgetExceeded, XmcurvesError
-from .geometry import split_at_y_axis, validate_family
-from .graphs import (
-    CurveFamily,
-    adjacency_lines,
-    build_intersection_graph,
-    cliques_ascending,
-    intersection_graph_of_curves,
-    to_dot,
-)
+
+# Library modules are imported inside the functions that use them, so a
+# subcommand loads only what it runs.  Their functions are looked up on
+# the module at each call, never kept here, so a function rebound on its
+# module (a wrapper that traces or captures calls) is the one called.
 
 
 def _read_text(path: str) -> str:
+    from pathlib import Path
+
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_family(path: str) -> CurveFamily:
+def _load_family(path: str):
+    from . import fileformat
+
     return fileformat.load_family(_read_text(path))
+
+
+def _load_graph(path: str):
+    from . import graphs
+
+    return graphs.build_intersection_graph(_load_family(path))
 
 
 def _print(lines) -> None:
@@ -47,45 +47,53 @@ def _print(lines) -> None:
 
 
 def cmd_validate(args) -> int:
-    curves = fileformat.load_curves(_read_text(args.file))
-    report = validate_family(curves)
+    from . import fileformat, geometry
+
+    report = geometry.validate_family(fileformat.load_curves(_read_text(args.file)))
     _print(report.lines())
     return 0 if report.ok else 1
 
 
 def cmd_graph(args) -> int:
-    graph = build_intersection_graph(_load_family(args.file))
+    from . import graphs
+
+    graph = _load_graph(args.file)
     if args.format == "dot":
-        print(to_dot(graph))
+        print(graphs.to_dot(graph))
     else:
-        _print(adjacency_lines(graph))
+        _print(graphs.adjacency_lines(graph))
     return 0
 
 
 def cmd_chi(args) -> int:
-    graph = build_intersection_graph(_load_family(args.file))
+    from . import coloring
+
+    graph = _load_graph(args.file)
     if args.dsatur:
-        value, coloring = chi_heuristic(graph, "dsatur")
+        value, colors = coloring.chi_heuristic(graph, "dsatur")
     elif args.firstfit:
-        value, coloring = chi_heuristic(graph, "firstfit")
+        value, colors = coloring.chi_heuristic(graph, "firstfit")
     else:
-        value, coloring = chi_exact(graph, args.budget)
+        value, colors = coloring.chi_exact(graph, args.budget)
     print(f"chi {value}")
     for v in graph.vertices:
-        print(f"color {v} {coloring.assignment[v]}")
+        print(f"color {v} {colors.assignment[v]}")
     return 0
 
 
 def cmd_omega(args) -> int:
-    graph = build_intersection_graph(_load_family(args.file))
-    size, witness = omega_exact(graph)
+    from . import coloring
+
+    size, witness = coloring.omega_exact(_load_graph(args.file))
     print(f"omega {size}")
     print("clique " + " ".join(str(v) for v in witness.vertices))
     return 0
 
 
 def cmd_layers(args) -> int:
-    graph = build_intersection_graph(_load_family(args.file))
+    from . import lemmas
+
+    graph = _load_graph(args.file)
     layers = lemmas.distance_layers(graph, args.source)
     for d, layer in enumerate(layers.layers):
         print(f"layer {d} : " + " ".join(str(v) for v in layer))
@@ -95,7 +103,9 @@ def cmd_layers(args) -> int:
 
 
 def cmd_alphaseq(args) -> int:
-    graph = build_intersection_graph(_load_family(args.file))
+    from . import lemmas
+
+    graph = _load_graph(args.file)
     seq = lemmas.alpha_sequence(graph, args.alpha, args.budget)
     print(f"alpha {seq.alpha}")
     print("breakpoints " + " ".join(str(r) for r in seq.breakpoints))
@@ -106,19 +116,22 @@ def cmd_alphaseq(args) -> int:
 
 
 def cmd_gapsub(args) -> int:
-    graph = build_intersection_graph(_load_family(args.file))
+    from . import coloring, lemmas
+
+    graph = _load_graph(args.file)
     sub = lemmas.extract_gap_subgraph(graph, args.a, args.b, args.budget)
     print("H : " + " ".join(str(v) for v in sub.vertices))
-    print(f"chi {chi_exact(sub, args.budget)[0]}")
+    print(f"chi {coloring.chi_exact(sub, args.budget)[0]}")
     for u, v in sorted(sub.edges):
         gap = graph.induced(range(u + 1, v))
-        print(f"gap {u} {v} chi={chi_exact(gap, args.budget)[0]}")
+        print(f"gap {u} {v} chi={coloring.chi_exact(gap, args.budget)[0]}")
     return 0
 
 
 def cmd_keylemma(args) -> int:
-    family = _load_family(args.file)
-    graph = build_intersection_graph(family)
+    from . import lemmas
+
+    graph = _load_graph(args.file)
     decomp = lemmas.decompose_around_pair(graph, args.a, args.b)
     _print(lemmas.decomposition_report(decomp, graph=graph, k=args.k, budget=args.budget))
     ok, violator = lemmas.isolation_check(graph, decomp)
@@ -127,8 +140,10 @@ def cmd_keylemma(args) -> int:
 
 
 def cmd_arcs(args) -> int:
+    from . import graphs, lemmas
+
     family = _load_family(args.file)
-    graph = build_intersection_graph(family)
+    graph = graphs.build_intersection_graph(family)
     decomp = lemmas.decompose_around_pair(graph, args.a, args.b)
     side = {"a": "low", "b": "high"}[args.side]
     analysis = lemmas.arc_analysis(family, graph, decomp, side, args.budget)
@@ -137,8 +152,10 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import configurations, graphs
+
     family = _load_family(args.file)
-    graph = build_intersection_graph(family)
+    graph = graphs.build_intersection_graph(family)
     kind = args.type if args.type == "clique" else f"type{args.type}"
     witness = configurations.detect_config(family, graph, kind, args.k, args.cap)
     if witness is None:
@@ -149,12 +166,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_shortcheck(args) -> int:
+    from . import configurations, graphs
+
     family = _load_family(args.file)
-    graph = build_intersection_graph(family)
+    graph = graphs.build_intersection_graph(family)
     sizes = [args.k] if args.k is not None else list(range(2, min(family.n, 5)))
     checked = 0
     for size in sizes:
-        for clique in cliques_ascending(graph, size):
+        for clique in graphs.cliques_ascending(graph, size):
             for inner in range(clique[0] + 1, clique[-1]):
                 if any(graph.has_edge(inner, v) for v in clique):
                     continue
@@ -171,6 +190,8 @@ def cmd_shortcheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import fileformat, generators, graphs
+
     spec = generators.GenSpec(
         kind=args.kind,
         n=args.n,
@@ -180,7 +201,7 @@ def cmd_gen(args) -> int:
         segments_per_curve=args.segments,
     )
     out = generators.generate(spec)
-    if isinstance(out, CurveFamily):
+    if isinstance(out, graphs.CurveFamily):
         sys.stdout.write(fileformat.dump_family(out))
     else:
         sys.stdout.write(fileformat.dump_curves(out))
@@ -188,6 +209,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_plant(args) -> int:
+    from . import fileformat, generators
+
     family, witness = generators.plant_configuration(
         f"type{args.type}", args.k, args.seed
     )
@@ -197,10 +220,14 @@ def cmd_plant(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from pathlib import Path
+
+    from . import fileformat, geometry
+
     curves = fileformat.load_curves(_read_text(args.file))
     lefts, rights = [], []
     for c in curves:
-        left, right = split_at_y_axis(c)
+        left, right = geometry.split_at_y_axis(c)
         lefts.append(left)
         rights.append(right)
     right_text = fileformat.dump_curves(rights, ["right flags"])
@@ -216,51 +243,8 @@ def cmd_split(args) -> int:
     return 0
 
 
-@dataclass
-class ExperimentRow:
-    instance: int
-    n: int
-    kind: str
-    seed: int
-    omega: int
-    chi_exact: int | None  # None when the budget ran out
-    chi_dsatur: int
-    chi_firstfit: int
-    max_layer_chi: int
-    wall_time_ms: int | None
-
-    def tsv(self) -> str:
-        chi = "" if self.chi_exact is None else str(self.chi_exact)
-        ms = "" if self.wall_time_ms is None else str(self.wall_time_ms)
-        return "\t".join(
-            [
-                str(self.instance),
-                str(self.n),
-                self.kind,
-                str(self.seed),
-                str(self.omega),
-                chi,
-                str(self.chi_dsatur),
-                str(self.chi_firstfit),
-                str(self.max_layer_chi),
-                ms,
-            ]
-        )
-
-
 EXPERIMENT_HEADER = "\t".join(
-    [
-        "instance",
-        "n",
-        "kind",
-        "seed",
-        "omega",
-        "chi_exact",
-        "chi_dsatur",
-        "chi_firstfit",
-        "max_layer_chi",
-        "wall_time_ms",
-    ]
+    "instance n kind seed omega chi_exact chi_dsatur chi_firstfit max_layer_chi wall_time_ms".split()
 )
 
 
@@ -272,41 +256,35 @@ def run_experiment(
     k: int = 0,
     budget: int | None = None,
     with_times: bool = False,
-) -> list[ExperimentRow]:
+) -> list[tuple]:
+    """One row per trial, its fields in EXPERIMENT_HEADER's order.  The
+    chi_exact field is None when the budget ran out, and wall_time_ms is
+    None unless with_times."""
+    import time
+
+    from . import coloring, generators, graphs, lemmas
+
     rows = []
     for t in range(trials):
         instance_seed = seed + t
         started = time.perf_counter()
         spec = generators.GenSpec(kind=kind, n=n, k=k, seed=instance_seed)
         out = generators.generate(spec)
-        if isinstance(out, CurveFamily):
-            graph = build_intersection_graph(out)
+        if isinstance(out, graphs.CurveFamily):
+            graph = graphs.build_intersection_graph(out)
         else:
-            graph = intersection_graph_of_curves(out)
-        w, _ = omega_exact(graph)
+            graph = graphs.intersection_graph_of_curves(out)
+        w, _ = coloring.omega_exact(graph)
         try:
-            chi = chi_exact(graph, budget)[0]
+            chi = coloring.chi_exact(graph, budget)[0]
         except BudgetExceeded:
             chi = None
-        dsat = chi_heuristic(graph, "dsatur")[0]
-        fit = chi_heuristic(graph, "firstfit")[0]
+        dsat = coloring.chi_heuristic(graph, "dsatur")[0]
+        fit = coloring.chi_heuristic(graph, "firstfit")[0]
         layers = lemmas.distance_layers(graph, graph.vertices[0])
         _, layer_chi = lemmas.max_layer_chi(graph, layers, budget)
-        elapsed = int((time.perf_counter() - started) * 1000)
-        rows.append(
-            ExperimentRow(
-                t,
-                graph.n,
-                kind,
-                instance_seed,
-                w,
-                chi,
-                dsat,
-                fit,
-                layer_chi,
-                elapsed if with_times else None,
-            )
-        )
+        ms = int((time.perf_counter() - started) * 1000) if with_times else None
+        rows.append((t, graph.n, kind, instance_seed, w, chi, dsat, fit, layer_chi, ms))
     return rows
 
 
@@ -315,18 +293,19 @@ def cmd_experiment(args) -> int:
         args.kind, args.n, args.trials, args.seed, args.k, args.budget, args.times
     )
     print(EXPERIMENT_HEADER)
-    for row in rows:
-        print(row.tsv())
     by_omega: dict[int, int] = {}
     for row in rows:
-        best = row.chi_exact if row.chi_exact is not None else row.chi_dsatur
-        by_omega[row.omega] = max(by_omega.get(row.omega, 0), best)
+        print("\t".join("" if field is None else str(field) for field in row))
+        w, chi, dsat = row[4:7]
+        by_omega[w] = max(by_omega.get(w, 0), dsat if chi is None else chi)
     for w in sorted(by_omega):
         print(f"# omega={w} max_chi={by_omega[w]}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import configurations, generators
+
     parser = argparse.ArgumentParser(
         prog="xmcurves",
         description="exact-geometry lab for grounded x-monotone curve families",
@@ -418,15 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call rather than at import, then reused: parsing
-    # leaves the parser unchanged
-    return build_parser()
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        # built on the first call rather than at import, then reused:
+        # parsing leaves the parser unchanged
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -135,9 +135,10 @@ def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Colo
     across components).  Each component runs branch and bound over
     k-colorability, seeded with the DSATUR upper bound and the clique
     number as lower bound (a greedy clique when that meets DSATUR
-    already).  `budget` is a search-node limit; without one, a component
-    that the greedy clique does not certify must have n <= 64.  Raises
-    BudgetExceeded so callers can fall back to heuristics.
+    already).  `budget` limits the search nodes of the whole call, summed
+    over its components; without one, a component that the greedy clique
+    does not certify must have n <= 64.  Raises BudgetExceeded so callers
+    can fall back to heuristics.
     """
     if graph.n == 0:
         return 0, Coloring({}, 0)
@@ -146,18 +147,21 @@ def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Colo
         return 1, Coloring(dict.fromkeys(graph.vertices, 1), 1)
 
     parts = _components(graph)
+    nodes_used = [0]  # search nodes spent by this call, over all components
     if len(parts) > 1:
         assignment: dict[int, int] = {}
         best = 0
         for comp in parts:
-            value, coloring = _chi_exact_connected(graph.induced(comp), budget)
+            value, coloring = _chi_exact_connected(graph.induced(comp), budget, nodes_used)
             assignment.update(coloring.assignment)
             best = max(best, value)
         return best, Coloring(assignment, best)
-    return _chi_exact_connected(graph, budget)
+    return _chi_exact_connected(graph, budget, nodes_used)
 
 
-def _chi_exact_connected(graph: OrderedGraph, budget: int | None) -> tuple[int, Coloring]:
+def _chi_exact_connected(
+    graph: OrderedGraph, budget: int | None, nodes_used: list[int]
+) -> tuple[int, Coloring]:
     ub, ub_coloring = chi_heuristic(graph, "dsatur")
     clique = _greedy_clique(graph)
     lb = max(1, len(clique))
@@ -175,10 +179,8 @@ def _chi_exact_connected(graph: OrderedGraph, budget: int | None) -> tuple[int, 
 
     adjacency = graph.adjacency
     degrees = {v: len(adjacency[v]) for v in graph.vertices}
-    nodes_used = 0
 
     def colorable_with(k: int) -> dict[int, int] | None:
-        nonlocal nodes_used
         assignment: dict[int, int] = {}
         neighbor_colors: dict[int, set[int]] = {v: set() for v in graph.vertices}
         # Pre-coloring the seed clique is a valid symmetry break.
@@ -197,8 +199,8 @@ def _chi_exact_connected(graph: OrderedGraph, budget: int | None) -> tuple[int, 
         while True:
             if not uncolored:
                 return dict(assignment)
-            nodes_used += 1
-            if nodes_used > budget:
+            nodes_used[0] += 1
+            if nodes_used[0] > budget:
                 raise BudgetExceeded(f"exact coloring budget {budget} exhausted")
             v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u))
             uncolored.remove(v)

@@ -68,6 +68,27 @@ def test_chi_exact_budget():
     assert chi_exact(big, budget=10**4)[0] == 3  # explicit budget lifts the cap
 
 
+def _fits(graph, budget):
+    try:
+        chi_exact(graph, budget)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def test_chi_exact_budget_counts_nodes_over_all_components():
+    g = random_graph(random.Random(41), 16, 45)
+    nodes = next(b for b in range(1, 100) if _fits(g, b))
+    assert nodes == 6  # the least budget one copy solves within
+    copies = OrderedGraph.from_edges(
+        range(1, 33), [*g.edges, *((u + 16, v + 16) for u, v in g.edges)]
+    )
+    value, coloring = chi_exact(copies, budget=2 * nodes)
+    assert value == chi_exact(g)[0] and coloring.is_proper(copies)
+    with pytest.raises(BudgetExceeded):
+        chi_exact(copies, budget=2 * nodes - 1)
+
+
 def test_heuristics():
     assert chi_heuristic(OrderedGraph.from_edges([1, 2, 3], []), "dsatur")[0] == 1
     assert chi_heuristic(OrderedGraph.from_edges([1, 2, 3], []), "firstfit")[0] == 1
