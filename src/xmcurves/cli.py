@@ -20,6 +20,11 @@ from .errors import BudgetExceeded, XmcurvesError
 # the module at each call, never kept here, so a function rebound on its
 # module (a wrapper that traces or captures calls) is the one called.
 
+# Copies of generators' and configurations' values (tests pin them): the parser loads neither.
+GEN_KINDS = ("rays", "unitsegments", "rightflagpolylines", "crossingfan",
+             "plant_type1", "plant_type2", "plant_type3", "twosided")
+DEFAULT_DETECT_CAP = 24
+
 
 def _read_text(path: str) -> str:
     from pathlib import Path
@@ -304,8 +309,6 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import configurations, generators
-
     parser = argparse.ArgumentParser(
         prog="xmcurves",
         description="exact-geometry lab for grounded x-monotone curve families",
@@ -361,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_file(add("detect", cmd_detect, help="find a configuration"))
     p.add_argument("--type", required=True, choices=["1", "2", "3", "clique"])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=configurations.DEFAULT_DETECT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_DETECT_CAP)
 
     p = with_file(add("shortcheck", cmd_shortcheck, help="sandwiched-curve endpoint check"))
     p.add_argument("--k", type=int, default=None, help="clique size (default: 2..4)")
 
     p = add("gen", cmd_gen, help="generate a seeded family")
-    p.add_argument("--kind", required=True, choices=list(generators.GEN_KINDS))
+    p.add_argument("--kind", required=True, choices=list(GEN_KINDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file prefix")
 
     p = with_budget(add("experiment", cmd_experiment, help="chi vs omega table"))
-    p.add_argument("--kind", required=True, choices=list(generators.GEN_KINDS))
+    p.add_argument("--kind", required=True, choices=list(GEN_KINDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--trials", type=int, required=True)

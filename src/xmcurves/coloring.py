@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, NotAPoset
 from .geometry import Arc
-from .graphs import OrderedGraph, cliques_ascending, intersection_graph_of_curves, is_clique
+from .graphs import OrderedGraph, bit_positions, cliques_ascending, is_clique
+from .graphs import intersection_graph_of_curves
 
 DEFAULT_VERTEX_CAP = 64
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -62,23 +63,31 @@ def _first_fit(graph: OrderedGraph, order: Sequence[int]) -> Coloring:
     return Coloring(assignment, max(assignment.values(), default=0))
 
 
-def _dsatur_order_coloring(graph: OrderedGraph) -> Coloring:
+def _dsatur(labels: Sequence[int], masks: Sequence[int], keep: int) -> dict[int, int]:
+    """DSATUR colors of the positions in keep, label -> color in pick order: max saturation,
+    then max degree within keep, then least label, packed into one int key per vertex."""
+    n = len(labels)
+    shift = n.bit_length()
+    low = (1 << shift) - 1  # the key's n - 1 - i field
+    key = {i: (masks[i] & keep).bit_count() << shift | (n - 1 - i) for i in bit_positions(keep)}
+    near = [0] * len(key)  # near[c]: the vertices adjacent to color c + 1
     assignment: dict[int, int] = {}
-    neighbor_colors: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
-    uncolored = set(graph.vertices)
+    uncolored = keep
     while uncolored:
-        # max saturation, then max degree, then least label
-        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u))
-        c = 1
-        while c in neighbor_colors[v]:
+        i = n - 1 - (max(key.values()) & low)
+        del key[i]
+        uncolored ^= 1 << i
+        c = 0
+        while near[c] >> i & 1:
             c += 1
-        assignment[v] = c
-        uncolored.discard(v)
-        for u in graph.neighbors(v):
-            if u in uncolored:
-                neighbor_colors[u].add(c)
-    return Coloring(assignment, max(assignment.values(), default=0))
+        assignment[labels[i]] = c + 1
+        fresh = masks[i] & uncolored & ~near[c]
+        near[c] |= masks[i] & keep
+        while fresh:
+            bit = fresh & -fresh
+            key[bit.bit_length() - 1] += 1 << 2 * shift  # one more saturated color
+            fresh ^= bit
+    return assignment
 
 
 def chi_heuristic(graph: OrderedGraph, mode: str = "dsatur") -> tuple[int, Coloring]:
@@ -88,94 +97,87 @@ def chi_heuristic(graph: OrderedGraph, mode: str = "dsatur") -> tuple[int, Color
     if mode == "firstfit":
         coloring = _first_fit(graph, graph.vertices)
     elif mode == "dsatur":
-        coloring = _dsatur_order_coloring(graph)
+        labels, _, masks, keep, _ = graph._bits
+        assignment = _dsatur(labels, masks, keep)
+        coloring = Coloring(assignment, max(assignment.values()))
     else:
         raise ValueError(f"unknown heuristic mode {mode!r}")
     return coloring.num_colors, coloring
 
 
-def _greedy_clique(graph: OrderedGraph) -> list[int]:
-    if graph.n == 0:
-        return []
-    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
-    start = min(graph.vertices, key=lambda v: (-degrees[v], v))
-    clique = [start]
-    common = set(graph.neighbors(start))
+def _greedy_clique(masks: Sequence[int], keep: int) -> int:
+    """Mask of a greedy clique of keep: repeatedly the candidate with the
+    most neighbors among the candidates, least label first on ties."""
+    clique, common = 0, keep
     while common:
-        v = min(common, key=lambda u: (-len(graph.neighbors(u) & common), u))
-        clique.append(v)
-        common &= graph.neighbors(v)
-    return sorted(clique)
+        best = -1
+        for i in bit_positions(common):
+            degree = (masks[i] & common).bit_count()
+            if degree > best:
+                best, pick = degree, i
+        clique |= 1 << pick
+        common &= masks[pick]
+    return clique
 
 
-def _components(graph: OrderedGraph) -> list[list[int]]:
-    seen: set[int] = set()
+def _components(masks: Sequence[int], keep: int) -> list[int]:
+    """Connected components of the positions in keep, as masks, lowest first."""
     out = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in graph.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        out.append(sorted(comp))
+    while keep:
+        comp, frontier = 0, keep & -keep
+        while frontier:
+            comp |= frontier
+            for i in bit_positions(frontier):
+                frontier |= masks[i]
+            frontier &= keep & ~comp
+        keep &= ~comp
+        out.append(comp)
     return out
 
 
 def chi_exact(graph: OrderedGraph, budget: int | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number with a certifying proper coloring.
 
-    Connected components are solved independently (colors are shared
-    across components).  Each component runs branch and bound over
-    k-colorability, seeded with the DSATUR upper bound and the clique
-    number as lower bound (a greedy clique when that meets DSATUR
-    already).  `budget` limits the search nodes of the whole call, summed
-    over its components; without one, a component that the greedy clique
-    does not certify must have n <= 64.  Raises BudgetExceeded so callers
-    can fall back to heuristics.
+    Connected components are colored independently, sharing colors.  A
+    component whose greedy clique is as large as its DSATUR coloring
+    takes that coloring; any other runs branch and bound over
+    k-colorability from its clique number up to DSATUR.  `budget` limits
+    the search nodes of the whole call, summed over its components;
+    without one, a component that the greedy clique does not certify
+    must have n <= 64.  Raises BudgetExceeded so callers can fall back
+    to heuristics.
     """
-    if graph.n == 0:
-        return 0, Coloring({}, 0)
-    if not graph.edges:
-        # what the component path returns: every singleton colored 1
-        return 1, Coloring(dict.fromkeys(graph.vertices, 1), 1)
-
-    parts = _components(graph)
+    labels, _, masks, keep, _ = graph._bits
     nodes_used = [0]  # search nodes spent by this call, over all components
-    if len(parts) > 1:
-        assignment: dict[int, int] = {}
-        best = 0
-        for comp in parts:
-            value, coloring = _chi_exact_connected(graph.induced(comp), budget, nodes_used)
-            assignment.update(coloring.assignment)
-            best = max(best, value)
-        return best, Coloring(assignment, best)
-    return _chi_exact_connected(graph, budget, nodes_used)
+    assignment: dict[int, int] = {}
+    for comp in _components(masks, keep):
+        colors = _dsatur(labels, masks, comp)
+        clique = _greedy_clique(masks, comp)
+        if clique.bit_count() < max(colors.values()):
+            clique = [labels[i] for i in bit_positions(clique)]
+            part = graph if comp == keep else graph.induced(labels[i] for i in bit_positions(comp))
+            colors = _chi_exact_connected(part, budget, nodes_used, colors, clique)
+        assignment.update(colors)
+    best = max(assignment.values(), default=0)
+    return best, Coloring(assignment, best)
 
 
 def _chi_exact_connected(
-    graph: OrderedGraph, budget: int | None, nodes_used: list[int]
-) -> tuple[int, Coloring]:
-    ub, ub_coloring = chi_heuristic(graph, "dsatur")
-    clique = _greedy_clique(graph)
-    lb = max(1, len(clique))
-    if lb < ub:
-        if budget is None:
-            if graph.n > DEFAULT_VERTEX_CAP:
-                raise BudgetExceeded(
-                    f"n={graph.n} exceeds default cap {DEFAULT_VERTEX_CAP}; pass a budget"
-                )
-            budget = DEFAULT_NODE_BUDGET
-        # searches for k below the clique number can only fail
-        lb = omega_exact(graph)[0]
+    graph: OrderedGraph, budget: int | None, nodes_used: list[int], colors: dict[int, int],
+    clique: list[int],
+) -> dict[int, int]:
+    """Optimal colors of a connected graph that its greedy clique leaves open."""
+    ub = max(colors.values())
+    if budget is None:
+        if graph.n > DEFAULT_VERTEX_CAP:
+            raise BudgetExceeded(
+                f"n={graph.n} exceeds default cap {DEFAULT_VERTEX_CAP}; pass a budget"
+            )
+        budget = DEFAULT_NODE_BUDGET
+    # searches for k below the clique number can only fail
+    lb = omega_exact(graph)[0]
     if lb == ub:
-        return ub, ub_coloring
+        return colors
 
     adjacency = graph.adjacency
     degrees = {v: len(adjacency[v]) for v in graph.vertices}
@@ -233,8 +235,8 @@ def _chi_exact_connected(
     for k in range(lb, ub):
         result = colorable_with(k)
         if result is not None:
-            return k, Coloring(result, k)
-    return ub, ub_coloring
+            return result
+    return colors
 
 
 def omega_exact(graph: OrderedGraph) -> tuple[int, CliqueWitness]:

@@ -17,10 +17,21 @@ from .errors import EmptySubset, InvalidFamily, PreconditionFailed
 from .geometry import PolyCurve, candidate_pairs, crossing_points, validate_family
 
 
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
     """Graph on integer labels with the natural order; labels survive
-    induced subgraphs."""
+    induced subgraphs, which share their parent's neighbour masks (see
+    `_bits`) and build their edges on first use."""
 
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
@@ -54,17 +65,36 @@ class OrderedGraph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
+    @cached_property
+    def _bits(self) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...], int, frozenset]:
+        """(sorted labels, label -> position, each position's neighbour
+        mask, this graph's positions as a mask, edges): bit i is the i-th
+        label, never a label value.  A subgraph has its root's but keep."""
+        labels = tuple(sorted(self.vertices))
+        pos = {v: i for i, v in enumerate(labels)}
+        masks = [0] * len(labels)
+        for u, v in self.edges:
+            masks[pos[u]] |= 1 << pos[v]
+            masks[pos[v]] |= 1 << pos[u]
+        return labels, pos, tuple(masks), (1 << len(labels)) - 1, self.edges
+
+    def __getattr__(self, name):  # reached only for a subgraph's edges, before first use
+        if name != "edges":
+            raise AttributeError(f"'OrderedGraph' object has no attribute {name!r}")
+        _, pos, _, keep, scan = self._bits
+        # in the root's order, so the set equals an edge scan's, repr included
+        edges = frozenset(e for e in scan if keep >> pos[e[0]] & keep >> pos[e[1]] & 1)
+        self.__dict__["edges"] = edges
+        return edges
+
     def induced(self, labels: Iterable[int]) -> OrderedGraph:
         """Subgraph on the given labels; labels not in the graph are
-        ignored.  Built from the kept vertices' adjacency, whose
-        restriction also becomes the subgraph's own adjacency."""
-        adjacency = self.adjacency
-        keep = frozenset(labels).intersection(adjacency)
-        vertices = tuple(sorted(keep))
-        sub = {v: adjacency[v] & keep for v in vertices}
-        es = frozenset((u, v) for u in vertices for v in sub[u] if u < v)
-        graph = OrderedGraph(vertices, es)
-        graph.__dict__["adjacency"] = sub  # fills the cached_property
+        ignored.  It shares this graph's masks."""
+        order, pos, masks, keep, scan = self._bits
+        sub = sum({1 << pos[v] for v in labels if v in pos}) & keep  # a sum of distinct bits
+        graph = object.__new__(OrderedGraph)
+        vertices = tuple(order[i] for i in bit_positions(sub))
+        graph.__dict__.update(vertices=vertices, _bits=(order, pos, masks, sub, scan))
         return graph
 
 

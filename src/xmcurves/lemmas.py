@@ -139,7 +139,7 @@ def alpha_sequence(
     prefix never drops and rises by at most one per label, so a value of
     alpha makes this label the least breakpoint, and a lower value comes
     with an exact coloring to extend.  The final block is solved once it
-    is complete.
+    is complete.  A lone label (alpha = 1) takes color 1 without a solve.
     """
     if alpha < 1:
         raise PreconditionFailed(f"alpha must be >= 1, got {alpha}")
@@ -159,7 +159,10 @@ def alpha_sequence(
         if c < alpha:
             colors[v] = c
             continue
-        value, coloring = chi_exact(graph.induced(labels[start : idx + 1]), budget)
+        if idx == start:  # a lone label, so alpha == 1 == chi
+            value, coloring = 1, Coloring({v: 1}, 1)
+        else:
+            value, coloring = chi_exact(graph.induced(labels[start : idx + 1]), budget)
         if value == alpha:
             breakpoints.append(v)
             colorings.append(coloring)

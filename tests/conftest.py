@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from xmcurves import CurveFamily, OrderedGraph, build_intersection_graph, curve
 from xmcurves.generators import GenSpec, generate
@@ -109,3 +110,22 @@ def ladder_corpus() -> list[tuple[CurveFamily, OrderedGraph]]:
         fam = seeded_ladder_family(seed)
         out.append((fam, build_intersection_graph(fam)))
     return out
+
+
+# Labels that are negative, small, or near 10**9, so that no label value
+# is a usable bit position.
+LABELS = st.one_of(st.integers(-20, 20), st.integers(10**9 - 6, 10**9 + 6))
+
+
+@st.composite
+def nested_subgraphs(draw) -> tuple[OrderedGraph, OrderedGraph]:
+    """(root, sub): a graph on up to 14 non-contiguous labels with any
+    edge set, and an induced subgraph of an induced subgraph of it, each
+    on requested labels that may repeat or lie outside the graph."""
+    vertices = sorted(draw(st.sets(LABELS, max_size=14)))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    root = OrderedGraph.from_edges(vertices, [p for p, k in zip(pairs, keep) if k])
+    requested = st.lists(st.one_of(LABELS, st.sampled_from(vertices)) if vertices else LABELS)
+    first = root.induced(draw(requested))
+    return root, first.induced(draw(requested))

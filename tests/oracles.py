@@ -7,7 +7,8 @@ search in label order, cliques from subset enumeration, configurations
 from full tuple enumeration.  The exact-coloring layer is also checked
 against copies of the package's earlier implementations: induced
 subgraphs by edge scan, recursive branch and bound and clique search,
-and alpha sequences that solve every block prefix afresh.  The split of
+the frozenset DSATUR, greedy clique and components, and alpha
+sequences that solve every block prefix afresh.  The split of
 two-sided curves is checked against its inverse, `join_at_y_axis`.
 """
 
@@ -29,9 +30,7 @@ from xmcurves import (
     Point,
     PolyCurve,
     PreconditionFailed,
-    chi_heuristic,
 )
-from xmcurves.coloring import _components, _greedy_clique
 
 
 def _ccw(a: Point, b: Point, c: Point) -> int:
@@ -277,7 +276,9 @@ def random_segment(rng: random.Random, cid: int, box: int) -> PolyCurve:
 # ------------------------------------------------------------------
 # The exact-coloring engine before it reused work, copied verbatim except
 # that subgraphs come from `induced_by_edge_scan` and every solve from
-# `recursive_chi_exact`, so no new code path is shared.
+# `recursive_chi_exact`, so no new code path is shared.  Its DSATUR,
+# greedy clique and components are the package's frozenset versions from
+# before its neighbour masks, also copied verbatim.
 
 
 def induced_by_edge_scan(graph: OrderedGraph, labels) -> OrderedGraph:
@@ -327,6 +328,59 @@ def recursive_omega_exact(graph: OrderedGraph) -> tuple[int, tuple[int, ...]]:
     return best_size, tuple(witness)
 
 
+def _dsatur_order_coloring(graph: OrderedGraph) -> Coloring:
+    assignment: dict[int, int] = {}
+    neighbor_colors: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
+    uncolored = set(graph.vertices)
+    while uncolored:
+        # max saturation, then max degree, then least label
+        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u))
+        c = 1
+        while c in neighbor_colors[v]:
+            c += 1
+        assignment[v] = c
+        uncolored.discard(v)
+        for u in graph.neighbors(v):
+            if u in uncolored:
+                neighbor_colors[u].add(c)
+    return Coloring(assignment, max(assignment.values(), default=0))
+
+
+def _greedy_clique(graph: OrderedGraph) -> list[int]:
+    if graph.n == 0:
+        return []
+    degrees = {v: len(graph.neighbors(v)) for v in graph.vertices}
+    start = min(graph.vertices, key=lambda v: (-degrees[v], v))
+    clique = [start]
+    common = set(graph.neighbors(start))
+    while common:
+        v = min(common, key=lambda u: (-len(graph.neighbors(u) & common), u))
+        clique.append(v)
+        common &= graph.neighbors(v)
+    return sorted(clique)
+
+
+def _components(graph: OrderedGraph) -> list[list[int]]:
+    seen: set[int] = set()
+    out = []
+    for start in graph.vertices:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in graph.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    stack.append(u)
+        out.append(sorted(comp))
+    return out
+
+
 def recursive_chi_exact(graph: OrderedGraph, budget: int = 5_000_000) -> tuple[int, Coloring]:
     if graph.n == 0:
         return 0, Coloring({}, 0)
@@ -343,7 +397,8 @@ def recursive_chi_exact(graph: OrderedGraph, budget: int = 5_000_000) -> tuple[i
 
 
 def _recursive_chi_connected(graph: OrderedGraph, budget: int) -> tuple[int, Coloring]:
-    ub, ub_coloring = chi_heuristic(graph, "dsatur")
+    ub_coloring = _dsatur_order_coloring(graph)
+    ub = ub_coloring.num_colors
     clique = _greedy_clique(graph)
     lb = max(1, len(clique))
     if lb < ub:

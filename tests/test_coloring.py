@@ -18,10 +18,16 @@ from xmcurves import (
     dilworth_chain_partition,
     omega_exact,
 )
-from xmcurves.coloring import arc_intersection_graph
+from xmcurves.coloring import _components, _dsatur, _greedy_clique, arc_intersection_graph
+from xmcurves.graphs import bit_positions
+from conftest import nested_subgraphs
 from oracles import (
+    _components as frozenset_components,
+    _dsatur_order_coloring,
+    _greedy_clique as frozenset_greedy_clique,
     brute_chi,
     brute_omega,
+    induced_by_edge_scan,
     random_graph,
     recursive_chi_exact,
     recursive_omega_exact,
@@ -243,3 +249,27 @@ def test_exact_solvers_match_recursive_search_when_branching():
         size, witness = omega_exact(g)
         assert (size, witness.vertices) == recursive_omega_exact(g)
     assert branched >= 5
+
+
+@given(graphs=nested_subgraphs())
+@settings(max_examples=300, deadline=None)
+def test_mask_presolve_matches_frozenset_copies(graphs):
+    # same components, same DSATUR colours in the same pick order and the
+    # same greedy clique as the frozenset helpers, on the whole subgraph
+    # and on each of its components, as chi_exact runs them
+    root, sub = graphs
+    labels, _, masks, keep, _ = sub._bits
+
+    def as_labels(mask):
+        return [labels[i] for i in bit_positions(mask)]
+
+    want = induced_by_edge_scan(root, sub.vertices)
+    parts = _components(masks, keep)
+    assert [as_labels(c) for c in parts] == frozenset_components(want)
+    for part in ([keep] if keep else []) + parts:
+        graph = induced_by_edge_scan(root, as_labels(part))
+        expect = _dsatur_order_coloring(graph).assignment
+        assert list(_dsatur(labels, masks, part).items()) == list(expect.items())
+        assert as_labels(_greedy_clique(masks, part)) == frozenset_greedy_clique(graph)
+    assert chi_heuristic(sub, "dsatur")[1] == _dsatur_order_coloring(want)
+    assert chi_exact(sub) == recursive_chi_exact(want)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 from itertools import combinations
@@ -18,7 +20,7 @@ from xmcurves import (
 )
 from xmcurves.generators import GenSpec, generate
 from xmcurves.graphs import adjacency_lines, cliques_ascending, is_clique, to_dot
-from conftest import five_curve_family
+from conftest import five_curve_family, nested_subgraphs
 from oracles import induced_by_edge_scan, polyline_family_edges
 
 
@@ -197,3 +199,27 @@ def test_cliques_ascending_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert cliques == [tuple(range(1, n + 1))]
 
+
+BILLIONS = OrderedGraph.from_edges([-3, 10**9 - 1, 10**9 + 2], [(-3, 10**9 + 2)])
+
+
+@given(graphs=nested_subgraphs())
+@example(graphs=(BILLIONS, BILLIONS.induced([10**9 + 2, 5, -3]).induced([-3, 10**9 + 2, 10**9])))
+@settings(max_examples=200, deadline=None)
+def test_lazy_induced_keeps_value_semantics(graphs):
+    root, sub = graphs
+    want = induced_by_edge_scan(root, sub.vertices)
+    assert sub == want and hash(sub) == hash(want) and repr(sub) == repr(want)
+    assert sub.edges == want.edges and sub.adjacency == want.adjacency
+    assert repr(want) == f"OrderedGraph(vertices={want.vertices!r}, edges={want.edges!r})"
+    assert copy.deepcopy(sub) == sub == pickle.loads(pickle.dumps(sub))
+    for name in ("vertices", "edges", "adjacency", "n", "_bits", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(sub, name, None)
+        with pytest.raises(AttributeError):
+            delattr(sub, name)
+    # masks index positions in the root's label tuple, never label values
+    for graph in (root, sub):
+        labels, _, masks, keep, _ = graph._bits
+        assert labels == root.vertices
+        assert max((m.bit_length() for m in (*masks, keep)), default=0) <= root.n

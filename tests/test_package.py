@@ -94,3 +94,18 @@ def test_validate_loads_no_solver(tmp_path, capsys):
     )
     assert "xmcurves.fileformat" in loaded
     assert "xmcurves.coloring" not in loaded and "xmcurves.lemmas" not in loaded
+
+
+def test_parser_copies_equal_their_modules_values():
+    from xmcurves import cli, configurations, generators
+
+    assert cli.GEN_KINDS == generators.GEN_KINDS
+    assert cli.DEFAULT_DETECT_CAP == configurations.DEFAULT_DETECT_CAP
+
+
+def test_help_loads_no_library_module():
+    # the report runs in the except clause, after --help exits
+    loaded = _loaded_modules(
+        "from xmcurves import cli\ntry: cli.main(['--help'])\nexcept SystemExit: pass"
+    )
+    assert loaded == ["xmcurves", "xmcurves.cli", "xmcurves.errors"]
